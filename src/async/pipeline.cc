@@ -104,6 +104,26 @@ void AsyncPipeline::RecordOpLatency(const Submission& s) {
   h->Record(NowMicros() - s.submitted_at_us);
 }
 
+void AsyncPipeline::Finish(Submission& s, Status st) {
+  if (!st.ok()) c_op_errors_->Inc();
+  RecordOpLatency(s);
+  if (s.handle) {
+    s.handle->Complete(std::move(st));
+  } else if (!st.ok()) {
+    MutexLock lock(&mu_);
+    failures_.try_emplace(s.dbid, std::move(st));
+  }
+}
+
+Status AsyncPipeline::TakeFailure(uint32_t dbid) {
+  MutexLock lock(&mu_);
+  auto it = failures_.find(dbid);
+  if (it == failures_.end()) return Status::OK();
+  Status s = std::move(it->second);
+  failures_.erase(it);
+  return s;
+}
+
 void AsyncPipeline::Start() {
   if (started_) return;
   if (auto v = EnvInt("PAPYRUSKV_BATCH_MAX"); v && *v > 0) {
@@ -147,7 +167,8 @@ void AsyncPipeline::Enqueue(int dst, Submission s) {
 }
 
 OpHandle AsyncPipeline::SubmitPut(int dst, uint32_t dbid, const Slice& key,
-                                  const Slice& value, bool tombstone) {
+                                  const Slice& value, bool tombstone,
+                                  bool tracked) {
   Submission s;
   s.kind = Submission::Kind::kPut;
   s.dbid = dbid;
@@ -155,7 +176,7 @@ OpHandle AsyncPipeline::SubmitPut(int dst, uint32_t dbid, const Slice& key,
   s.value = value.ToString();
   s.tombstone = tombstone;
   s.submitted_at_us = NowMicros();
-  s.handle = std::make_shared<OpState>();
+  if (tracked) s.handle = std::make_shared<OpState>();
   OpHandle h = s.handle;
   Enqueue(dst, std::move(s));
   return h;
@@ -244,40 +265,45 @@ void AsyncPipeline::Loop(Lane* lane) {
 }
 
 void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
+  using Kind = Submission::Kind;
   if (rt_.crashed()) {
     // A crashed rank emits no traffic (§4.2 failure model); every queued op
     // still completes so no waiter can hang.
     for (auto& [dst, q] : work) {
       for (Submission& s : q) {
-        c_op_errors_->Inc();
-        if (!s.handle) continue;  // repl appends: no waiter, the stream dies
-        RecordOpLatency(s);
-        s.handle->Complete(Status(PAPYRUSKV_ERR, "rank crashed (simulated)"));
+        if (s.kind == Kind::kRepl) {
+          c_op_errors_->Inc();  // no waiter: the stream dies with the rank
+          continue;
+        }
+        Finish(s, Status(PAPYRUSKV_ERR, "rank crashed (simulated)"));
       }
     }
     return;
   }
 
-  const fault::RetryPolicy& retry = rt_.retry();
   const uint32_t my_group =
       static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank()));
 
   // One encoded wire frame: consecutive same-kind, same-db submissions for
   // one destination, capped at batch_max_.
-  using Kind = Submission::Kind;
   struct Frame {
     int dst = 0;
     Kind kind = Kind::kPut;
+    int op = 0;  // wire opcode
+    const char* name = "";
     uint32_t dbid = 0;
     int tag = 0;
     std::string payload;
     std::vector<Submission> ops;
     std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
   };
-  auto op_name = [](Kind k) {
-    return k == Kind::kPut    ? "put_batch"
-           : k == Kind::kGet  ? "get_multi"
-                              : "repl_append";
+  auto to_records = [](const std::vector<Submission>& subs) {
+    std::vector<KvRecord> records;
+    records.reserve(subs.size());
+    for (const Submission& s : subs) {
+      records.push_back(KvRecord{s.key, s.value, s.tombstone});
+    }
+    return records;
   };
   // Frames to one destination form an ordered chain, processed below under
   // the SDCB rule: frame N+1 is not put on the wire until frame N is acked.
@@ -319,65 +345,47 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
           obs::OpSpan::kDetached);
       f.rpc->MarkFlowOut();
       if (f.kind == Kind::kPut) {
-        std::vector<KvRecord> records;
-        records.reserve(f.ops.size());
-        for (const Submission& s : f.ops) {
-          KvRecord r;
-          r.key = s.key;
-          r.value = s.value;
-          r.tombstone = s.tombstone;
-          records.push_back(std::move(r));
-        }
-        h_put_batch_->Record(static_cast<uint64_t>(records.size()));
+        f.op = core::kOpPutBatch;
+        f.name = "put_batch";
+        h_put_batch_->Record(static_cast<uint64_t>(f.ops.size()));
         f.payload = EncodePutBatch(f.dbid, static_cast<uint32_t>(f.tag),
-                                   records, f.rpc->context());
+                                   to_records(f.ops), f.rpc->context());
       } else if (f.kind == Kind::kGet) {
+        f.op = core::kOpGetMulti;
+        f.name = "get_multi";
         std::vector<GetMultiOp> ops;
         ops.reserve(f.ops.size());
         for (const Submission& s : f.ops) {
-          GetMultiOp op;
-          op.key = s.key;
-          op.full_search = s.full_search;
-          ops.push_back(std::move(op));
+          ops.push_back(GetMultiOp{s.key, s.full_search});
         }
         h_get_batch_->Record(static_cast<uint64_t>(ops.size()));
         f.payload = EncodeGetMulti(f.dbid, static_cast<uint32_t>(f.tag),
                                    my_group, ops, f.rpc->context());
       } else {
-        std::vector<KvRecord> records;
-        records.reserve(f.ops.size());
-        for (const Submission& s : f.ops) {
-          KvRecord r;
-          r.key = s.key;
-          r.value = s.value;
-          r.tombstone = s.tombstone;
-          records.push_back(std::move(r));
-        }
+        f.op = core::kOpReplAppend;
+        f.name = "repl_append";
         core::ReplAppendMeta meta;
         meta.primary = f.ops.front().repl_primary;
         meta.epoch = f.ops.front().repl_epoch;
         meta.first_seq = f.ops.front().repl_seq;
         meta.flushed_through = f.ops.back().repl_flushed;
         meta.reset = f.ops.front().repl_reset;
-        h_repl_batch_->Record(static_cast<uint64_t>(records.size()));
+        h_repl_batch_->Record(static_cast<uint64_t>(f.ops.size()));
         f.payload = core::EncodeReplAppend(f.dbid,
                                            static_cast<uint32_t>(f.tag), meta,
-                                           records, f.rpc->context());
+                                           to_records(f.ops),
+                                           f.rpc->context());
       }
       chains[dst].push_back(std::move(f));
     }
   }
 
-  obs::FlightRecorder& flight = rt_.flight();
+  const fault::RetryPolicy& retry = rt_.retry();
   auto send_frame = [&](const Frame& f) {
     c_frames_->Inc();
-    flight.Record(obs::FlightKind::kOpBegin, op_name(f.kind), f.dst,
-                  retry.max_attempts);
-    rt_.SendRequest(f.dst,
-                    f.kind == Kind::kPut   ? core::kOpPutBatch
-                    : f.kind == Kind::kGet ? core::kOpGetMulti
-                                           : core::kOpReplAppend,
-                    f.payload);
+    rt_.flight().Record(obs::FlightKind::kOpBegin, f.name, f.dst,
+                        retry.max_attempts);
+    rt_.SendRequest(f.dst, f.op, f.payload);
   };
   // Completes every op of a failed frame with one shared status; a failed
   // replication frame instead fails the follower out of the shard's quorum
@@ -390,11 +398,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
       }
       return;
     }
-    for (Submission& sub : f.ops) {
-      c_op_errors_->Inc();
-      RecordOpLatency(sub);
-      sub.handle->Complete(s);
-    }
+    for (Submission& sub : f.ops) Finish(sub, s);
   };
 
   // Only each chain's *head* frame goes on the wire up front: frames to
@@ -411,7 +415,6 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
     bool dst_down = false;  // an earlier frame to dst exhausted its retries
     for (size_t fi = 0; fi < chain.size(); ++fi) {
       Frame& f = chain[fi];
-      const char* opname = op_name(f.kind);
       if (dst_down) {
         // Never sent: the timed-out frame ahead of this one may still be
         // sitting unapplied in the peer's mailbox, and sending past it
@@ -419,49 +422,21 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
         f.rpc.reset();
         fail_frame(f, Status::Timeout(
                           "rank " + std::to_string(dst) + " unresponsive; " +
-                          opname + " not sent (earlier frame unacked)"));
+                          f.name + " not sent (earlier frame unacked)"));
         continue;
       }
       net::Message ack;
-      bool acked =
-          rt_.RecvResponseFor(f.dst, f.tag, retry.reply_timeout_us, &ack);
-      for (int attempt = 1; attempt < retry.max_attempts && !acked;
-           ++attempt) {
-        rt_.metrics().GetCounter("net.req.retries").Inc();
-        flight.Record(obs::FlightKind::kRetry, opname, f.dst, attempt);
-        PreciseSleepMicros(retry.BackoffUs(attempt));
-        rt_.SendRequest(f.dst,
-                        f.kind == Kind::kPut   ? core::kOpPutBatch
-                        : f.kind == Kind::kGet ? core::kOpGetMulti
-                                               : core::kOpReplAppend,
-                        f.payload);
-        acked =
-            rt_.RecvResponseFor(f.dst, f.tag, retry.reply_timeout_us, &ack);
-      }
+      Status s = rt_.AwaitReply(f.dst, f.op, f.payload, f.tag, &ack);
       f.rpc.reset();  // close the frame's RPC span at ack (or give-up) time
-      if (!acked) {
-        rt_.metrics().GetCounter("net.req.timeouts").Inc();
-        flight.Record(obs::FlightKind::kTimeout, opname, f.dst,
-                      retry.max_attempts);
-        rt_.MarkSuspect(f.dst);
-        PLOG_ERROR << opname << " to rank " << f.dst
-                   << " unacknowledged after " << retry.max_attempts
-                   << " attempts";
-        Status ds = flight.TriggerDump("request timeout");
-        if (!ds.ok()) {
-          PLOG_WARN << "flight dump failed: " << ds.ToString();
-        }
-        fail_frame(f, Status::Timeout(
-                          "no reply from rank " + std::to_string(f.dst) +
-                          " for " + opname + " after " +
-                          std::to_string(retry.max_attempts) + " attempts"));
+      if (!s.ok()) {
+        PLOG_ERROR << f.name << " to rank " << f.dst << ": " << s.ToString();
+        fail_frame(f, s);
         dst_down = true;  // the unsent rest of this chain fails above
         continue;
       }
       // The ack proves the handler applied this frame; the next frame in
       // this destination's chain may now go on the wire.
       if (fi + 1 < chain.size()) send_frame(chain[fi + 1]);
-      flight.Record(obs::FlightKind::kOpEnd, opname, f.dst);
       if (f.kind == Kind::kRepl) {
         uint64_t epoch = 0;
         uint64_t acked_seq = 0;
@@ -489,9 +464,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
           continue;
         }
         for (size_t i = 0; i < f.ops.size(); ++i) {
-          if (statuses[i] != PAPYRUSKV_SUCCESS) c_op_errors_->Inc();
-          RecordOpLatency(f.ops[i]);
-          f.ops[i].handle->Complete(Status(statuses[i]));
+          Finish(f.ops[i], Status(statuses[i]));
         }
       } else {
         std::vector<GetMultiResult> results;

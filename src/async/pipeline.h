@@ -25,8 +25,9 @@
 // Frames never mix op kinds or databases; a kind/db change breaks the
 // frame.
 //
-// Failure semantics: retry/timeout is per *frame* (re-sending the chain's
-// in-flight frame is idempotent, like migration chunks); per-op errors
+// Failure semantics: retry/timeout is per *frame*, on the runtime's one
+// retry ladder (KvRuntime::AwaitReply; re-sending the chain's in-flight
+// frame is idempotent, like migration chunks); per-op errors
 // travel back in the batched ack, so a partially failed batch surfaces
 // exactly which ops failed.  A frame unacknowledged after
 // retry().max_attempts completes all of its ops with
@@ -108,9 +109,11 @@ class AsyncPipeline {
   void Start();
   void Stop();
 
-  // Enqueue one remote put/delete (sequential mode) for `dst`.
+  // Enqueue one remote put/delete (sequential mode) for `dst`.  An
+  // untracked put (fire-and-forget) returns nullptr; its failure is kept as
+  // the db's first failure for TakeFailure.
   OpHandle SubmitPut(int dst, uint32_t dbid, const Slice& key,
-                     const Slice& value, bool tombstone);
+                     const Slice& value, bool tombstone, bool tracked = true);
   // Enqueue one remote get for `dst`; full_search forces the owner to
   // search its SSTables even for a same-group caller (§2.7 fallback).
   OpHandle SubmitGet(int dst, uint32_t dbid, const Slice& key,
@@ -130,6 +133,9 @@ class AsyncPipeline {
   // Blocks until every submitted op has completed (fence semantics for
   // async operations; see DbShard::Fence).
   void Drain();
+  // Returns and clears the first failure of an untracked put to `dbid`
+  // since the last call (DbShard::Fence reports it).
+  Status TakeFailure(uint32_t dbid);
 
  private:
   struct Submission {
@@ -147,7 +153,7 @@ class AsyncPipeline {
     uint64_t repl_flushed = 0;
     bool repl_reset = false;
     uint64_t submitted_at_us = 0;  // stamped at Submit* for op latency
-    OpHandle handle;               // null for kRepl (no per-op waiter)
+    OpHandle handle;  // null for kRepl and untracked puts (no waiter)
   };
 
   // One worker lane: its own thread, per-destination queues and in-flight
@@ -184,6 +190,9 @@ class AsyncPipeline {
   // Records submit→completion latency (async.put_op_us / async.get_op_us);
   // call immediately before completing the handle.
   void RecordOpLatency(const Submission& s);
+  // Completes a put (or a failed get) with `st`: its handle, or for an
+  // untracked put the db's first-failure slot.
+  void Finish(Submission& s, Status st);
 
   core::KvRuntime& rt_;
   size_t batch_max_ = 256;
@@ -193,6 +202,7 @@ class AsyncPipeline {
   Mutex mu_{"async_pipe_mu"};
   CondVar drain_cv_;  // every lane's queued + inflight reached zero
   bool stop_ GUARDED_BY(mu_) = false;
+  std::map<uint32_t, Status> failures_ GUARDED_BY(mu_);  // by dbid
   // Queue/counter fields guarded by mu_; name/window/thread are set before
   // the worker starts and joined after it stops, so they need no lock.
   Lane ops_lane_;

@@ -16,7 +16,7 @@ enum MdhimOp : int {
   kMdhimShutdown = 4,
 };
 
-constexpr int kMdhimRespTag = 1;
+constexpr int kMdhimReplyTag = 1;
 
 // Request: [lp key][lp value]; response: [u8 ok][lp value].
 std::string EncodeReq(const Slice& key, const Slice& value) {
@@ -104,18 +104,18 @@ void Mdhim::RangeServerLoop() {
     switch (m.tag) {
       case kMdhimPut: {
         const Status s = store_->Put(key, value);
-        resp_comm_.Send(m.src, kMdhimRespTag, EncodeResp(s.ok(), Slice()));
+        resp_comm_.Send(m.src, kMdhimReplyTag, EncodeResp(s.ok(), Slice()));
         break;
       }
       case kMdhimDelete: {
         const Status s = store_->Delete(key);
-        resp_comm_.Send(m.src, kMdhimRespTag, EncodeResp(s.ok(), Slice()));
+        resp_comm_.Send(m.src, kMdhimReplyTag, EncodeResp(s.ok(), Slice()));
         break;
       }
       case kMdhimGet: {
         std::string result;
         const Status s = store_->Get(key, &result);
-        resp_comm_.Send(m.src, kMdhimRespTag, EncodeResp(s.ok(), result));
+        resp_comm_.Send(m.src, kMdhimReplyTag, EncodeResp(s.ok(), result));
         break;
       }
       default:
@@ -133,7 +133,7 @@ Status Mdhim::RoundTrip(int owner, int op, const Slice& key,
   // server thread lives for the whole run, so the reply always arrives.
   // analyze:allow-proto-deadlock: baseline runs with no fault injection
   // and the server thread outlives every client request
-  net::Message resp = resp_comm_.Recv(owner, kMdhimRespTag);
+  net::Message resp = resp_comm_.Recv(owner, kMdhimReplyTag);
   bool ok = false;
   std::string payload;
   if (!DecodeResp(resp.payload, &ok, &payload)) {

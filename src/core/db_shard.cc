@@ -204,7 +204,7 @@ Status DbShard::Delete(const Slice& key) {
 }
 
 async::OpHandle DbShard::PutAsync(const Slice& key, const Slice& value,
-                                  bool tombstone) {
+                                  bool tombstone, bool tracked) {
   if (key.empty()) {
     return async::CompletedOp(Status::InvalidArg("empty key"));
   }
@@ -234,7 +234,8 @@ async::OpHandle DbShard::PutAsync(const Slice& key, const Slice& value,
     obs::OpSpan op("kv", tombstone ? "delete.submit" : "put.submit");
     m_.puts_remote_sync->Inc();
     cache_remote_.Erase(key);
-    return rt_.pipeline().SubmitPut(owner, id_, key, value, tombstone);
+    return rt_.pipeline().SubmitPut(owner, id_, key, value, tombstone,
+                                    tracked);
   }
   // Relaxed mode already is asynchronous: staging in the remote MemTable
   // completes immediately; delivery is governed by fence/barrier.
@@ -400,7 +401,7 @@ Status DbShard::SyncRemotePut(const Slice& key, const Slice& value,
   // synchronously.  Submit+wait through the async pipeline (DESIGN.md §9),
   // so the sync and async paths share one batching/retry/timeout machine —
   // a dead owner still surfaces as PAPYRUSKV_ERR_TIMEOUT, delivered via the
-  // completion handle instead of an inline RequestReply.
+  // completion handle.
   m_.puts_remote_sync->Inc();
   cache_remote_.Erase(key);
   return rt_.pipeline().SubmitPut(owner, id_, key, value, tombstone)->Wait();
@@ -621,8 +622,7 @@ Status DbShard::FinishRemoteGet(const Slice& key, GetResp resp,
     }
     // The owner may have compacted the advertised tables away between its
     // response and our shared read; fall back to a full search at the
-    // owner to keep the result authoritative (the full_search flag replaces
-    // the legacy caller_group=0xffffffff convention per op).
+    // owner to keep the result authoritative.
     async::OpHandle h2 =
         rt_.pipeline().SubmitGet(owner, id_, key, /*full_search=*/true);
     Status rs = h2->Wait();
@@ -884,21 +884,13 @@ bool DbShard::TryReplicaRead(const Slice& key, int owner, std::string* value,
 // Handler-side entry points
 // ---------------------------------------------------------------------------
 
-Status DbShard::ApplyRecords(const std::vector<KvRecord>& records) {
-  for (const KvRecord& r : records) {
-    Status s = LocalPut(r.key, r.value, r.tombstone);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 std::vector<int32_t> DbShard::ApplyBatch(const std::vector<KvRecord>& records) {
   std::vector<int32_t> statuses;
   statuses.reserve(records.size());
   for (const KvRecord& r : records) {
-    // Unlike ApplyRecords, a failed op does not abort the batch: every
-    // record gets its own status, so the submitter can surface exactly
-    // which ops of a partially failed batch went wrong.
+    // A failed op does not abort the batch: every record gets its own
+    // status, so the submitter can surface exactly which ops of a
+    // partially failed batch went wrong.
     if (fault::Enabled() && batch_fail_point_->Fire()) {
       statuses.push_back(PAPYRUSKV_ERR);
       continue;
@@ -922,7 +914,7 @@ GetResp DbShard::HandleRemoteGet(const Slice& key, uint32_t caller_group) {
   bool tombstone = false;
   bool in_memory;
   {
-    // Child spans of the handler's handle.get_req: the merge tool's
+    // Child spans of the handler's handle.get_multi: the merge tool's
     // critical path splits service time into memory vs SSTable search.
     obs::TraceSpan sp("store", "search.memory");
     in_memory = SearchLocalMemory(key, &value, &tombstone);
@@ -1114,8 +1106,11 @@ Status DbShard::Fence() {
   // Retire evented put/delete submissions that were never waited
   // individually (the quickstart's bulk-completion pattern) so async_ops_
   // cannot grow without bound; the first failure among them becomes the
-  // fence's status, keeping those errors observable.
+  // fence's status, keeping those errors observable.  Fire-and-forget puts
+  // have no event; the pipeline kept their first failure for this fence.
   Status reap = rt_.ReapAsyncOps();
+  Status untracked = rt_.pipeline().TakeFailure(id_);
+  if (reap.ok()) reap = std::move(untracked);
   {
     MutexLock rotate(&remote_rotate_mu_);
     remote_mu_.Lock();

@@ -18,8 +18,8 @@
 //
 // Threading contract: one application thread per rank drives Put/Get/
 // Delete/Fence/Barrier (MPI style).  The runtime's handler thread calls
-// ApplyRecords/HandleRemoteGet concurrently; the compaction thread calls
-// FlushImmutable; the dispatcher calls TakeOwnerChunks/MigrationFinished.
+// ApplyBatch/HandleRemoteGet concurrently; the compaction thread calls
+// FlushImmutable; the dispatcher calls CollectOwnerChunks/MigrationFinished.
 // Internal state is guarded accordingly.
 #pragma once
 
@@ -99,9 +99,11 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // Submit without waiting.  Local and relaxed-staged puts resolve inline
   // (the returned handle is already complete); sequential remote puts ride
   // the pipeline and complete when the owner's batched ack lands.
-  // tombstone=true is papyruskv_delete_async.
+  // tombstone=true is papyruskv_delete_async.  tracked=false is the
+  // fire-and-forget form: a pipelined put then gets no handle (nullptr is
+  // returned) and a failure surfaces at the next Fence instead.
   async::OpHandle PutAsync(const Slice& key, const Slice& value,
-                           bool tombstone);
+                           bool tombstone, bool tracked);
   // Gets decided from local memory resolve inline; only the network leg is
   // asynchronous.  Complete with FinishGet.
   async::OpHandle GetAsync(const Slice& key);
@@ -113,7 +115,9 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // ---- Consistency (§3) ----
   // Migrates the remote MemTable and queued immutable remote MemTables to
   // their owners immediately; returns when every record has been applied
-  // at its owner (acked).
+  // at its owner (acked).  Also a completion fence for async puts: returns
+  // the first failure among the completed put/delete events it retires
+  // and the fire-and-forget puts since the last fence.
   Status Fence();
   // Collective fence; level PAPYRUSKV_SSTABLE additionally flushes all
   // MemTables to SSTables on every rank.
@@ -127,14 +131,12 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   Status FlushAll();
 
   // ---- Handler-side entry points (runtime handler thread) ----
-  // Applies migrated records to the local MemTable (paper: the handler
-  // "extracts the keys and their values from the messages and inserts them
-  // into the local MemTable").
-  Status ApplyRecords(const std::vector<KvRecord>& records);
-  // Batched variant for kOpPutBatch: applies every record, continuing past
-  // failures, and returns one PAPYRUSKV_* code per record in order (the
-  // per-op statuses of the batched ack).  The batch.op.fail failpoint
-  // injects per-op failures here for partial-batch testing.
+  // Serves kOpPutBatch — pipelined puts and migration chunks alike (paper:
+  // the handler "extracts the keys and their values from the messages and
+  // inserts them into the local MemTable").  Applies every record,
+  // continuing past failures, and returns one PAPYRUSKV_* code per record
+  // in order (the per-op statuses of the batched ack).  The batch.op.fail
+  // failpoint injects per-op failures here for partial-batch testing.
   std::vector<int32_t> ApplyBatch(const std::vector<KvRecord>& records);
   // Serves a remote get request (§2.6–2.7).
   GetResp HandleRemoteGet(const Slice& key, uint32_t caller_group);

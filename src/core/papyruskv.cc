@@ -157,12 +157,13 @@ int papyruskv_put_async(papyruskv_db_t db, const char* key, size_t keylen,
   if (!key || (vallen > 0 && !value)) return PAPYRUSKV_INVALID_ARG;
   DbShardPtr shard = rt->Find(db);
   if (!shard) return PAPYRUSKV_INVALID_DB;
-  papyrus::async::OpHandle h =
-      shard->PutAsync(papyrus::Slice(key, keylen),
-                      papyrus::Slice(value, vallen), /*tombstone=*/false);
+  papyrus::async::OpHandle h = shard->PutAsync(
+      papyrus::Slice(key, keylen), papyrus::Slice(value, vallen),
+      /*tombstone=*/false, /*tracked=*/event != nullptr);
   if (!event) {
-    // Fire-and-forget: surface an already-known failure, drop the rest.
-    return h->done() ? h->Wait().code() : PAPYRUSKV_SUCCESS;
+    // Fire-and-forget: an op resolved inline reports now; a pipelined one
+    // (no handle) reports at the next fence.
+    return h ? h->Wait().code() : PAPYRUSKV_SUCCESS;
   }
   papyrus::core::AsyncOp op;
   op.handle = std::move(h);
@@ -198,10 +199,8 @@ int papyruskv_delete_async(papyruskv_db_t db, const char* key, size_t keylen,
   if (!shard) return PAPYRUSKV_INVALID_DB;
   papyrus::async::OpHandle h =
       shard->PutAsync(papyrus::Slice(key, keylen), papyrus::Slice(),
-                      /*tombstone=*/true);
-  if (!event) {
-    return h->done() ? h->Wait().code() : PAPYRUSKV_SUCCESS;
-  }
+                      /*tombstone=*/true, /*tracked=*/event != nullptr);
+  if (!event) return h ? h->Wait().code() : PAPYRUSKV_SUCCESS;
   papyrus::core::AsyncOp op;
   op.handle = std::move(h);
   *event = rt->RegisterAsyncOp(std::move(op));

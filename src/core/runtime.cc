@@ -21,9 +21,6 @@ constexpr size_t kDefaultQueueDepth = 8;
 // Metric name for request traffic of opcode `op` ("" suffix = messages).
 const char* OpName(int op) {
   switch (op) {
-    case kOpMigrateChunk: return "migrate_chunk";
-    case kOpPutSync: return "put_sync";
-    case kOpGetReq: return "get_req";
     case kOpShutdown: return "shutdown";
     case kOpPutBatch: return "put_batch";
     case kOpGetMulti: return "get_multi";
@@ -443,54 +440,47 @@ void KvRuntime::DispatcherLoop() {
       assert(owner != ctx_.rank &&
              "remote MemTable must not hold self-owned pairs");
       const int tag = AllocRespTag();
-      auto rpc = std::make_unique<obs::OpSpan>(
-          "net", "migrate_chunk.rpc", obs::OpSpan::kDetached);
+      auto rpc = std::make_unique<obs::OpSpan>("net", "put_batch.rpc",
+                                               obs::OpSpan::kDetached);
       rpc->MarkFlowOut();
       Pending p;
       p.owner = owner;
-      p.payload = EncodeMigrateChunk(job.db->id(), static_cast<uint32_t>(tag),
-                                     records, rpc->context());
+      p.payload = EncodePutBatch(job.db->id(), static_cast<uint32_t>(tag),
+                                 records, rpc->context());
       p.tag = tag;
       p.rpc = std::move(rpc);
       pending.push_back(std::move(p));
     }
     for (const auto& p : pending) {
-      flight_.Record(obs::FlightKind::kOpBegin, "migrate_chunk", p.owner,
+      flight_.Record(obs::FlightKind::kOpBegin, OpName(kOpPutBatch), p.owner,
                      retry_.max_attempts);
-      SendRequest(p.owner, kOpMigrateChunk, p.payload);
+      SendRequest(p.owner, kOpPutBatch, p.payload);
     }
     for (auto& p : pending) {
-      // Bounded re-send on a lost chunk or ack.  Re-applying a chunk is
-      // idempotent (the handler replays the same records in order), and the
-      // dispatcher holds this migration until acked, so no later chunk from
-      // this rank can interleave with the retry.
+      // Re-applying a chunk is idempotent (the handler replays the same
+      // records in order), and the dispatcher holds this migration until
+      // acked, so no later chunk from this rank can interleave with a
+      // retry.  A chunk that is never acked must not wedge the fence: the
+      // ladder marks the peer suspect and the migration moves on.
       net::Message ack;
-      bool acked =
-          resp_comm_.RecvFor(p.owner, p.tag, retry_.reply_timeout_us, &ack);
-      for (int attempt = 1; attempt < retry_.max_attempts && !acked;
-           ++attempt) {
-        c_req_retries_->Inc();
-        flight_.Record(obs::FlightKind::kRetry, "migrate_chunk", p.owner,
-                       attempt);
-        PreciseSleepMicros(retry_.BackoffUs(attempt));
-        SendRequest(p.owner, kOpMigrateChunk, p.payload);
-        acked =
-            resp_comm_.RecvFor(p.owner, p.tag, retry_.reply_timeout_us, &ack);
-      }
+      Status s = AwaitReply(p.owner, kOpPutBatch, p.payload, p.tag, &ack);
       p.rpc.reset();  // close the chunk's RPC span at ack (or give-up) time
-      if (!acked) {
-        // The fence must still complete: surface the peer as suspect and
-        // move on rather than wedging every thread behind this migration.
-        c_req_timeouts_->Inc();
-        flight_.Record(obs::FlightKind::kTimeout, "migrate_chunk", p.owner,
-                       retry_.max_attempts);
-        MarkSuspect(p.owner);
-        PLOG_ERROR << "migration chunk to rank " << p.owner
-                   << " unacknowledged after " << retry_.max_attempts
-                   << " attempts";
-        DumpFlight(flight_, "migration unacked");
-      } else {
-        flight_.Record(obs::FlightKind::kOpEnd, "migrate_chunk", p.owner);
+      std::vector<int32_t> statuses;
+      if (s.ok() && !DecodePutBatchAck(ack.payload, &statuses)) {
+        s = Status::Corrupted("bad put batch ack");
+      }
+      if (!s.ok()) {
+        PLOG_ERROR << "migration to rank " << p.owner << " failed: "
+                   << s.ToString();
+        continue;
+      }
+      const std::vector<KvRecord>& records = chunks[p.owner];
+      for (size_t i = 0; i < statuses.size() && i < records.size(); ++i) {
+        if (statuses[i] != PAPYRUSKV_SUCCESS) {
+          PLOG_ERROR << "migration to rank " << p.owner << ": record '"
+                     << records[i].key << "' failed with code "
+                     << statuses[i];
+        }
       }
     }
     job.db->MigrationFinished(job.mem);
@@ -514,19 +504,6 @@ void KvRuntime::HandlerLoop() {
     // Service time only (the Recv wait above is idle time, not load).
     obs::ScopedLatency lat(h_handler_us_);
     switch (m.tag) {
-      case kOpMigrateChunk:
-        HandleMigrateChunk(m, /*sync_put=*/false);
-        break;
-        // analyze:allow-proto-handler: legacy single-op kind — new code sends
-      // kOpPutBatch, but mixed-version peers may still send this
-      case kOpPutSync:
-        HandleMigrateChunk(m, /*sync_put=*/true);
-        break;
-      // analyze:allow-proto-handler: legacy single-op kind — new code sends
-      // kOpGetMulti, but mixed-version peers may still send this
-      case kOpGetReq:
-        HandleGetReq(m);
-        break;
       case kOpPutBatch:
         HandlePutBatch(m);
         break;
@@ -551,64 +528,6 @@ void KvRuntime::HandlerLoop() {
   }
 }
 
-void KvRuntime::HandleMigrateChunk(const net::Message& m, bool sync_put) {
-  uint32_t dbid = 0, resp_tag = 0;
-  std::vector<KvRecord> records;
-  obs::TraceContext ctx;
-  if (!DecodeMigrateChunk(m.payload, &dbid, &resp_tag, &records, &ctx)) {
-    PLOG_ERROR << "handler: malformed migrate chunk from rank " << m.src;
-    return;
-  }
-  // Child of the caller's RPC span (flow-linked across ranks).
-  obs::OpSpan span("net",
-                   sync_put ? "handle.put_sync" : "handle.migrate_chunk",
-                   ctx);
-  RecordQueueWait(m);
-  DbShardPtr db = Find(static_cast<int>(dbid));
-  if (db) {
-    Status s = db->ApplyRecords(records);
-    if (!s.ok()) {
-      PLOG_ERROR << "handler: apply failed: " << s.ToString();
-    }
-  } else {
-    PLOG_WARN << "handler: " << (sync_put ? "put" : "migration")
-              << " for unknown db " << dbid;
-  }
-  // Ack after application — fences rely on this ordering.  Under
-  // replication the ack additionally waits for the applied ops to reach
-  // quorum (DESIGN.md §12); the deferred closure fires from the pipeline
-  // thread when the append acks land, so the handler never blocks here.
-  if (db) {
-    if (repl::Replicator* r = db->replicator()) {
-      const int src = m.src;
-      const int tag = static_cast<int>(resp_tag);
-      r->AckWhenDurable(r->last_seq(),
-                        [this, src, tag] { SendResponse(src, tag, Slice()); });
-      return;
-    }
-  }
-  SendResponse(m.src, static_cast<int>(resp_tag), Slice());
-}
-
-void KvRuntime::HandleGetReq(const net::Message& m) {
-  uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
-  obs::TraceContext ctx;
-  if (!DecodeGetReq(m.payload, &dbid, &resp_tag, &caller_group, &key, &ctx)) {
-    PLOG_ERROR << "handler: malformed get request from rank " << m.src;
-    return;
-  }
-  // Child of the caller's RPC span; its own context rides the response so
-  // the reply carries the service span's identity back to the caller.
-  obs::OpSpan span("net", "handle.get_req", ctx);
-  RecordQueueWait(m);
-  GetResp resp;
-  DbShardPtr db = Find(static_cast<int>(dbid));
-  if (db) resp = db->HandleRemoteGet(key, caller_group);
-  SendResponse(m.src, static_cast<int>(resp_tag),
-               EncodeGetResp(resp, span.context()));
-}
-
 void KvRuntime::HandlePutBatch(const net::Message& m) {
   uint32_t dbid = 0, resp_tag = 0;
   std::vector<KvRecord> records;
@@ -617,8 +536,9 @@ void KvRuntime::HandlePutBatch(const net::Message& m) {
     PLOG_ERROR << "handler: malformed put batch from rank " << m.src;
     return;
   }
-  // Child of the pipeline's put_batch.rpc span (flow-linked across ranks):
-  // the entire batch is serviced under one handler wakeup.
+  // Child of the sender's put_batch.rpc span (flow-linked across ranks):
+  // the entire batch — pipeline frame or migration chunk — is serviced
+  // under one handler wakeup.
   obs::OpSpan span("net", "handle.put_batch", ctx);
   RecordQueueWait(m);
   std::vector<int32_t> statuses;
@@ -667,8 +587,8 @@ void KvRuntime::HandleGetMulti(const net::Message& m) {
       results[i].status = PAPYRUSKV_INVALID_DB;
       continue;
     }
-    // The full-search flag replaces the legacy caller_group=0xffffffff
-    // convention per op (§2.7 fallback after a failed shared read).
+    // The full-search flag maps to caller_group=0xffffffff, which no
+    // group matches (§2.7 fallback after a failed shared read).
     results[i].resp = db->HandleRemoteGet(
         ops[i].key, ops[i].full_search ? 0xffffffffu : caller_group);
   }
@@ -791,30 +711,26 @@ void KvRuntime::SendResponse(int dst, int tag, const Slice& payload) {
   resp_comm_.Send(dst, tag, payload);  // lint:allow-direct-send
 }
 
-net::Message KvRuntime::RecvResponse(int src, int tag) {
-  // Fixed-tag reply paths (restart redistribution) run single-file with no
-  // retry, so a lost reply here would wedge — which is why every path that
-  // can see message loss uses RequestReply instead.
-  // analyze:allow-proto-deadlock: only the single-file restart task calls
-  // this, after fault injection is disabled — its reply cannot be lost
-  return resp_comm_.Recv(src, tag);
-}
-
 Status KvRuntime::RequestReply(int dst, int op, const Slice& payload,
                                int resp_tag, net::Message* reply) {
   flight_.Record(obs::FlightKind::kOpBegin, OpName(op), dst,
                  retry_.max_attempts);
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      c_req_retries_->Inc();
-      flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt);
-      PreciseSleepMicros(retry_.BackoffUs(attempt - 1));
-    }
-    SendRequest(dst, op, payload);
+  SendRequest(dst, op, payload);
+  return AwaitReply(dst, op, payload, resp_tag, reply);
+}
+
+Status KvRuntime::AwaitReply(int dst, int op, const Slice& payload,
+                             int resp_tag, net::Message* reply) {
+  for (int attempt = 1;; ++attempt) {
     if (resp_comm_.RecvFor(dst, resp_tag, retry_.reply_timeout_us, reply)) {
       flight_.Record(obs::FlightKind::kOpEnd, OpName(op), dst);
       return Status::OK();
     }
+    if (attempt >= retry_.max_attempts) break;
+    c_req_retries_->Inc();
+    flight_.Record(obs::FlightKind::kRetry, OpName(op), dst, attempt + 1);
+    PreciseSleepMicros(retry_.BackoffUs(attempt));
+    SendRequest(dst, op, payload);
   }
   c_req_timeouts_->Inc();
   flight_.Record(obs::FlightKind::kTimeout, OpName(op), dst,
@@ -824,7 +740,7 @@ Status KvRuntime::RequestReply(int dst, int op, const Slice& payload,
   // the op that failed and the peer that failed it.
   DumpFlight(flight_, "request timeout");
   return Status::Timeout("no reply from rank " + std::to_string(dst) +
-                         " for op " + std::to_string(op) + " after " +
+                         " for " + OpName(op) + " after " +
                          std::to_string(retry_.max_attempts) + " attempts");
 }
 

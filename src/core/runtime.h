@@ -179,13 +179,6 @@ class KvRuntime {
   // ---- Transport helpers ----
   void SendRequest(int dst, int op, const Slice& payload);
   void SendResponse(int dst, int tag, const Slice& payload);
-  net::Message RecvResponse(int src, int tag);
-  // Deadline receive on the response communicator (the pipeline's ack
-  // collection); false on timeout.
-  bool RecvResponseFor(int src, int tag, uint64_t timeout_us,
-                       net::Message* out) {
-    return resp_comm_.RecvFor(src, tag, timeout_us, out);
-  }
 
   // ---- Async submission/completion pipeline (src/async/) ----
   async::AsyncPipeline& pipeline() { return pipeline_; }
@@ -212,11 +205,16 @@ class KvRuntime {
     return resp_tag_seq_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Request/reply with bounded retry (DESIGN.md §8): sends (dst, op,
-  // payload) and waits up to retry().reply_timeout_us for the reply tagged
-  // resp_tag; on timeout re-sends (runtime requests are idempotent) with
-  // exponential backoff.  After retry().max_attempts attempts, marks dst
-  // suspect and returns PAPYRUSKV_ERR_TIMEOUT.
+  // The one retry ladder (DESIGN.md §8) for a request (dst, op, payload)
+  // whose first attempt the caller already sent: waits up to
+  // retry().reply_timeout_us for the reply tagged resp_tag; on timeout
+  // re-sends (runtime requests are idempotent) with exponential backoff.
+  // After retry().max_attempts attempts, marks dst suspect, dumps the
+  // flight ring and returns PAPYRUSKV_ERR_TIMEOUT.  Callers that overlap
+  // several requests send them all first, then await each in turn.
+  Status AwaitReply(int dst, int op, const Slice& payload, int resp_tag,
+                    net::Message* reply);
+  // One request on the ladder: SendRequest followed by AwaitReply.
   Status RequestReply(int dst, int op, const Slice& payload, int resp_tag,
                       net::Message* reply);
 
@@ -272,8 +270,6 @@ class KvRuntime {
   void DispatcherLoop();
   void HandlerLoop();
 
-  void HandleMigrateChunk(const net::Message& m, bool sync_put);
-  void HandleGetReq(const net::Message& m);
   void HandlePutBatch(const net::Message& m);
   void HandleGetMulti(const net::Message& m);
   void HandleReplAppend(const net::Message& m);
@@ -342,8 +338,8 @@ class KvRuntime {
   obs::Gauge* g_mig_q_;              // net.migration_queue_depth
   obs::Histogram* h_handler_us_;     // net.handler_service_us
   obs::Histogram* h_migration_us_;   // store.migration_us
-  // Request traffic split by opcode (kOpMigrateChunk..kOpMax) plus a
-  // slot 0 catch-all; responses are a single bucket.
+  // Request traffic split by opcode (1..kOpMax) plus a slot 0 catch-all;
+  // responses are a single bucket.
   obs::Counter* c_req_msgs_[kOpMax + 1];
   obs::Counter* c_req_bytes_[kOpMax + 1];
   obs::Counter* c_resp_msgs_;

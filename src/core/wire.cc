@@ -4,8 +4,6 @@ namespace papyrus::core {
 
 namespace {
 constexpr uint8_t kTraceFlagSampled = 0x01;
-// [u32 magic][u64 trace][u64 span][u8 flags]
-constexpr size_t kTraceHdrBytes = 4 + 8 + 8 + 1;
 
 // reserve() bound for a decoded count field: the count is untrusted wire
 // data, so cap the pre-allocation by what the remaining payload could
@@ -15,109 +13,70 @@ size_t ReserveBound(uint32_t count, const Slice& in, size_t per) {
   const size_t plausible = in.size() / per + 1;
   return count < plausible ? count : plausible;
 }
-}  // namespace
 
-void PutTraceCtx(std::string* out, const obs::TraceContext& ctx) {
-  if (!ctx.valid()) return;  // legacy encoding, byte-identical to pre-trace
-  PutFixed32(out, kTraceMagic);
+// The frame header (wire.h): [u8 ver][u8 flags] + trace ids when sampled.
+void PutHeader(std::string* out, const obs::TraceContext& ctx) {
+  out->push_back(static_cast<char>(kBatchVersion));
+  out->push_back(static_cast<char>(ctx.valid() ? kTraceFlagSampled : 0));
+  if (!ctx.valid()) return;
   PutFixed64(out, ctx.trace_id);
   PutFixed64(out, ctx.span_id);
-  out->push_back(static_cast<char>(kTraceFlagSampled));
 }
 
-bool GetTraceCtx(Slice* in, obs::TraceContext* ctx) {
+// Consumes the frame header; false on an unknown version or a truncated
+// header.  *ctx (when non-null) is left invalid for a frame without one.
+bool GetHeader(Slice* in, obs::TraceContext* ctx) {
   if (ctx) *ctx = obs::TraceContext();
-  if (in->size() < 4) return true;  // too short for a header: legacy body
-  Slice peek = *in;
-  uint32_t magic = 0;
-  if (!GetFixed32(&peek, &magic) || magic != kTraceMagic) return true;
-  if (in->size() < kTraceHdrBytes) return false;  // truncated header
-  in->remove_prefix(4);
-  obs::TraceContext decoded;
-  if (!GetFixed64(in, &decoded.trace_id) ||
-      !GetFixed64(in, &decoded.span_id) || in->empty()) {
+  if (in->size() < 2 || static_cast<uint8_t>((*in)[0]) != kBatchVersion) {
     return false;
   }
-  decoded.sampled = ((*in)[0] & kTraceFlagSampled) != 0;
-  in->remove_prefix(1);
+  const bool sampled = ((*in)[1] & kTraceFlagSampled) != 0;
+  in->remove_prefix(2);
+  if (!sampled) return true;
+  obs::TraceContext decoded;
+  if (!GetFixed64(in, &decoded.trace_id) ||
+      !GetFixed64(in, &decoded.span_id)) {
+    return false;
+  }
+  decoded.sampled = true;
   if (ctx) *ctx = decoded;
   return true;
 }
 
-std::string EncodeMigrateChunk(uint32_t dbid, uint32_t resp_tag,
-                               const std::vector<KvRecord>& records,
-                               const obs::TraceContext& trace_ctx) {
-  std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
+// [u32 count] count × ([lp key][lp value][u8 tomb])
+void PutRecords(std::string* out, const std::vector<KvRecord>& records) {
+  PutFixed32(out, static_cast<uint32_t>(records.size()));
   for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
+    PutLengthPrefixed(out, r.key);
+    PutLengthPrefixed(out, r.value);
+    out->push_back(r.tombstone ? 1 : 0);
   }
-  return out;
 }
 
-bool DecodeMigrateChunk(const Slice& payload, uint32_t* dbid,
-                        uint32_t* resp_tag, std::vector<KvRecord>* records,
-                        obs::TraceContext* trace_ctx) {
-  Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
+bool GetRecords(Slice* in, std::vector<KvRecord>* records) {
   uint32_t count = 0;
-  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, &count)) {
-    return false;
-  }
+  if (!GetFixed32(in, &count)) return false;
   records->clear();
-  records->reserve(ReserveBound(count, in, 3));
+  records->reserve(ReserveBound(count, *in, 3));
   for (uint32_t i = 0; i < count; ++i) {
     Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
+    if (!GetLengthPrefixed(in, &key) || !GetLengthPrefixed(in, &value) ||
+        in->empty()) {
       return false;
     }
     KvRecord r;
     r.key = key.ToString();
     r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
+    r.tombstone = (*in)[0] != 0;
+    in->remove_prefix(1);
     records->push_back(std::move(r));
   }
-  return in.empty();
+  return true;
 }
 
-std::string EncodeGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const Slice& key,
-                         const obs::TraceContext& trace_ctx) {
+// The per-key GetResp body carried inside GetMultiResp (wire.h).
+std::string EncodeGetResp(const GetResp& r) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, caller_group);
-  PutLengthPrefixed(&out, key);
-  return out;
-}
-
-bool DecodeGetReq(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                  uint32_t* caller_group, std::string* key,
-                  obs::TraceContext* trace_ctx) {
-  Slice in = payload;
-  Slice k;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, caller_group) || !GetLengthPrefixed(&in, &k)) {
-    return false;
-  }
-  *key = k.ToString();
-  return in.empty();
-}
-
-std::string EncodeGetResp(const GetResp& r,
-                          const obs::TraceContext& trace_ctx) {
-  std::string out;
-  PutTraceCtx(&out, trace_ctx);
   out.push_back(r.found ? 1 : 0);
   out.push_back(r.tombstone ? 1 : 0);
   out.push_back(r.same_group ? 1 : 0);
@@ -128,10 +87,8 @@ std::string EncodeGetResp(const GetResp& r,
   return out;
 }
 
-bool DecodeGetResp(const Slice& payload, GetResp* r,
-                   obs::TraceContext* trace_ctx) {
+bool DecodeGetResp(const Slice& payload, GetResp* r) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
   if (in.size() < 3) return false;
   r->found = in[0] != 0;
   r->tombstone = in[1] != 0;
@@ -141,8 +98,6 @@ bool DecodeGetResp(const Slice& payload, GetResp* r,
   if (!GetFixed64(&in, &r->latest_ssid) || !GetFixed32(&in, &nssids)) {
     return false;
   }
-  // Cap the pre-allocation: nssids came off the wire, and a lying count
-  // must fail in the element loop below, not as a bad_alloc here.
   r->ssids.reserve(ReserveBound(nssids, in, 8));
   for (uint32_t i = 0; i < nssids; ++i) {
     uint64_t ssid = 0;
@@ -154,32 +109,16 @@ bool DecodeGetResp(const Slice& payload, GetResp* r,
   r->value = value.ToString();
   return in.empty();
 }
-
-namespace {
-// Consumes the batch version byte; false on empty input or unknown version.
-bool GetBatchVersion(Slice* in) {
-  if (in->empty() || static_cast<uint8_t>((*in)[0]) != kBatchVersion) {
-    return false;
-  }
-  in->remove_prefix(1);
-  return true;
-}
 }  // namespace
 
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
                            const std::vector<KvRecord>& records,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
-  }
+  PutRecords(&out, records);
   return out;
 }
 
@@ -187,27 +126,10 @@ bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     std::vector<KvRecord>* records,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
-  uint32_t count = 0;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
-      !GetFixed32(&in, &count)) {
+      !GetRecords(&in, records)) {
     return false;
-  }
-  records->clear();
-  records->reserve(ReserveBound(count, in, 3));
-  for (uint32_t i = 0; i < count; ++i) {
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
-      return false;
-    }
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
-    records->push_back(std::move(r));
   }
   return in.empty();
 }
@@ -215,8 +137,7 @@ bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
 std::string EncodePutBatchAck(const std::vector<int32_t>& statuses,
                               const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, static_cast<uint32_t>(statuses.size()));
   for (int32_t s : statuses) PutFixed32(&out, static_cast<uint32_t>(s));
   return out;
@@ -225,8 +146,7 @@ std::string EncodePutBatchAck(const std::vector<int32_t>& statuses,
 bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
                        obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, &count)) return false;
   statuses->clear();
@@ -244,8 +164,7 @@ std::string EncodeGetMulti(uint32_t dbid, uint32_t resp_tag,
                            const std::vector<GetMultiOp>& ops,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, caller_group);
@@ -261,8 +180,7 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     uint32_t* caller_group, std::vector<GetMultiOp>* ops,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, caller_group) || !GetFixed32(&in, &count)) {
@@ -285,13 +203,10 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
 std::string EncodeGetMultiResp(const std::vector<GetMultiResult>& results,
                                const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, static_cast<uint32_t>(results.size()));
   for (const GetMultiResult& r : results) {
     PutFixed32(&out, static_cast<uint32_t>(r.status));
-    // Embed the legacy GetResp body (no nested trace header) so per-key
-    // payloads stay byte-identical between the single-op and batched paths.
     PutLengthPrefixed(&out, EncodeGetResp(r.resp));
   }
   return out;
@@ -301,8 +216,7 @@ bool DecodeGetMultiResp(const Slice& payload,
                         std::vector<GetMultiResult>* results,
                         obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   uint32_t count = 0;
   if (!GetFixed32(&in, &count)) return false;
   results->clear();
@@ -326,8 +240,7 @@ std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
                              const std::vector<KvRecord>& records,
                              const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, meta.primary);
@@ -335,12 +248,7 @@ std::string EncodeReplAppend(uint32_t dbid, uint32_t resp_tag,
   PutFixed64(&out, meta.first_seq);
   PutFixed64(&out, meta.flushed_through);
   out.push_back(meta.reset ? 1 : 0);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
-  for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
-  }
+  PutRecords(&out, records);
   return out;
 }
 
@@ -349,8 +257,7 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       std::vector<KvRecord>* records,
                       obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, &meta->primary) || !GetFixed64(&in, &meta->epoch) ||
       !GetFixed64(&in, &meta->first_seq) ||
@@ -359,31 +266,13 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
   }
   meta->reset = in[0] != 0;
   in.remove_prefix(1);
-  uint32_t count = 0;
-  if (!GetFixed32(&in, &count)) return false;
-  records->clear();
-  records->reserve(ReserveBound(count, in, 3));
-  for (uint32_t i = 0; i < count; ++i) {
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value) ||
-        in.empty()) {
-      return false;
-    }
-    KvRecord r;
-    r.key = key.ToString();
-    r.value = value.ToString();
-    r.tombstone = in[0] != 0;
-    in.remove_prefix(1);
-    records->push_back(std::move(r));
-  }
-  return in.empty();
+  return GetRecords(&in, records) && in.empty();
 }
 
 std::string EncodeReplAppendAck(uint64_t epoch, uint64_t acked_seq, bool ok,
                                 const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed64(&out, epoch);
   PutFixed64(&out, acked_seq);
   out.push_back(ok ? 1 : 0);
@@ -394,8 +283,7 @@ bool DecodeReplAppendAck(const Slice& payload, uint64_t* epoch,
                          uint64_t* acked_seq, bool* ok,
                          obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed64(&in, epoch) || !GetFixed64(&in, acked_seq) || in.empty()) {
     return false;
   }
@@ -408,8 +296,7 @@ std::string EncodeReplQuery(uint32_t dbid, uint32_t resp_tag,
                             uint32_t primary, bool promote,
                             const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, primary);
@@ -421,8 +308,7 @@ bool DecodeReplQuery(const Slice& payload, uint32_t* dbid,
                      uint32_t* resp_tag, uint32_t* primary, bool* promote,
                      obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, primary) || in.empty()) {
     return false;
@@ -436,8 +322,7 @@ std::string EncodeReplQueryResp(uint64_t epoch, uint64_t last_seq,
                                 bool in_sync,
                                 const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed64(&out, epoch);
   PutFixed64(&out, last_seq);
   out.push_back(in_sync ? 1 : 0);
@@ -448,8 +333,7 @@ bool DecodeReplQueryResp(const Slice& payload, uint64_t* epoch,
                          uint64_t* last_seq, bool* in_sync,
                          obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed64(&in, epoch) || !GetFixed64(&in, last_seq) || in.empty()) {
     return false;
   }
@@ -462,8 +346,7 @@ std::string EncodeReplRead(uint32_t dbid, uint32_t resp_tag,
                            uint32_t primary, const Slice& key,
                            const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   PutFixed32(&out, dbid);
   PutFixed32(&out, resp_tag);
   PutFixed32(&out, primary);
@@ -476,8 +359,7 @@ bool DecodeReplRead(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx) {
   Slice in = payload;
   Slice k;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (!GetFixed32(&in, dbid) || !GetFixed32(&in, resp_tag) ||
       !GetFixed32(&in, primary) || !GetLengthPrefixed(&in, &k)) {
     return false;
@@ -490,8 +372,7 @@ std::string EncodeReplReadResp(bool ok, bool found, bool tombstone,
                                const Slice& value,
                                const obs::TraceContext& trace_ctx) {
   std::string out;
-  PutTraceCtx(&out, trace_ctx);
-  out.push_back(static_cast<char>(kBatchVersion));
+  PutHeader(&out, trace_ctx);
   out.push_back(ok ? 1 : 0);
   out.push_back(found ? 1 : 0);
   out.push_back(tombstone ? 1 : 0);
@@ -503,8 +384,7 @@ bool DecodeReplReadResp(const Slice& payload, bool* ok, bool* found,
                         bool* tombstone, std::string* value,
                         obs::TraceContext* trace_ctx) {
   Slice in = payload;
-  if (!GetTraceCtx(&in, trace_ctx)) return false;
-  if (!GetBatchVersion(&in)) return false;
+  if (!GetHeader(&in, trace_ctx)) return false;
   if (in.size() < 3) return false;
   *ok = in[0] != 0;
   *found = in[1] != 0;

@@ -4,24 +4,28 @@
 // (receiver side) exchange request/response messages over communicators
 // private to the PapyrusKV runtime.  The message kinds:
 //
-//   kOpMigrateChunk — relaxed-mode migration: a batch of key-value pairs
-//       accumulated per owner from an immutable remote MemTable.  The
-//       handler applies the batch to its local MemTable, then acks (the ack
-//       is what lets fence/barrier know all data has *landed*, not merely
-//       been sent).
-//   kOpPutSync — sequential-mode put/delete: a single pair, applied
-//       synchronously; the caller blocks until the ack (§3.1).
-//   kOpGetReq / GetResp — remote get.  The request carries the caller's
-//       storage-group id; when it matches the owner's, the owner searches
-//       only its in-memory structures and returns `same_group` plus its
-//       latest flushed SSID so the caller can search the shared SSTables
-//       itself (§2.7).
+//   kOpPutBatch / PutBatchAck — N puts/deletes for one owner, applied in
+//       order and acked after application with one status per record (the
+//       ack is what lets fence/barrier know data has *landed*, not merely
+//       been sent).  Carries both sequential-mode puts (coalesced by the
+//       async pipeline) and relaxed-mode migration (one frame per owner
+//       chunk of a sealed remote MemTable, sent by the dispatcher).
+//   kOpGetMulti / GetMultiResp — N remote gets for one owner.  The request
+//       carries the caller's storage-group id; when it matches the owner's,
+//       the owner searches only its in-memory structures and returns
+//       `same_group` plus its live SSTable list so the caller can search
+//       the shared SSTables itself (§2.7).
+//   kOpReplAppend / kOpReplQuery / kOpReplRead — intra-group replication
+//       (DESIGN.md §12).
 //   kOpShutdown — runtime teardown for the handler loop.
 //
 // Requests travel on the request communicator with tag = opcode; responses
 // on the response communicator with the tag the requester wrote into the
-// request header, so concurrent requesting threads (app thread, dispatcher,
-// restart task) never steal each other's replies.
+// request header.  Every request carries a fresh tag from
+// KvRuntime::AllocRespTag() (>= kDynamicRespTagBase), so a retried request
+// never matches an earlier attempt's late reply and concurrent requesting
+// threads never steal each other's replies; stale replies to abandoned
+// tags sit harmlessly in the mailbox.
 #pragma once
 
 #include <cstdint>
@@ -35,42 +39,25 @@
 
 namespace papyrus::core {
 
-// ---- Trace-context header (versioned, optional) ----------------------------
-// When the sender has an active sampled trace (obs::OpSpan), every message
-// kind below is prefixed with
+// ---- Frame header ----------------------------------------------------------
+// Every frame below starts with the same header:
 //
-//   [u32 kTraceMagic][u64 trace_id][u64 span_id][u8 flags]
+//   [u8 ver][u8 flags] + [u64 trace_id][u64 span_id] when flags bit 0 is set
 //
-// ahead of its legacy body.  The magic's low byte (the first byte on the
-// wire, little-endian) is 0xff, which no legacy payload can start with:
-// MigrateChunk/GetReq begin with a small sequential dbid and GetResp with a
-// 0/1 `found` byte.  Decoders peek the first word — absent magic means a
-// legacy payload, so old-format messages round-trip unchanged through new
-// code and new no-context messages are byte-identical to the old encoding.
-// `flags` bit 0 = sampled; other bits reserved for future versions.
-inline constexpr uint32_t kTraceMagic = 0x54524cffu;  // "\xffLRT" on the wire
-
-// Appends the trace header to `out` when `ctx` is a live sampled context.
-void PutTraceCtx(std::string* out, const obs::TraceContext& ctx);
-// Consumes a leading trace header from `in` if present; fills `ctx` (left
-// invalid when the payload is legacy-format or ctx is null).  Returns false
-// only on a malformed (truncated) header.
-bool GetTraceCtx(Slice* in, obs::TraceContext* ctx);
+// `ver` is kBatchVersion; decoders reject frames whose version they do not
+// know.  flags bit 0 marks a sampled trace context (the sender had an
+// active obs::OpSpan), whose ids follow; the other bits are reserved.
+inline constexpr uint8_t kBatchVersion = 2;
 
 enum WireOp : int {
-  kOpMigrateChunk = 1,
-  kOpPutSync = 2,
-  kOpGetReq = 3,
-  kOpShutdown = 4,
+  kOpShutdown = 1,
   // Batched submission/completion pipeline (src/async/, DESIGN.md §9):
   //   kOpPutBatch — N coalesced puts/deletes for one destination, acked by
   //       a single batched ack carrying one status per op;
   //   kOpGetMulti — N coalesced get requests for one destination, answered
   //       by one response carrying a full GetResp per key.
-  // The legacy single-op kinds above remain decodable (and kOpPutSync
-  // remains serviceable) so mixed-version traffic degrades gracefully.
-  kOpPutBatch = 5,
-  kOpGetMulti = 6,
+  kOpPutBatch = 2,
+  kOpGetMulti = 3,
   // Intra-group k-way replication (src/repl/, DESIGN.md §12):
   //   kOpReplAppend — a primary streams a run of committed ops (epoch +
   //       contiguous sequence numbers) to one follower, which applies them
@@ -82,108 +69,29 @@ enum WireOp : int {
   //   kOpReplRead — read-from-replica: serve a get from the follower's
   //       shadow MemTable (PAPYRUSKV_READ_REPLICAS=1), falling back to the
   //       owner on a shadow miss.
-  kOpReplAppend = 7,
-  kOpReplQuery = 8,
-  kOpReplRead = 9,
+  kOpReplAppend = 4,
+  kOpReplQuery = 5,
+  kOpReplRead = 6,
 };
 
 // Highest opcode value — sizing bound for per-opcode metric arrays.
 inline constexpr int kOpMax = kOpReplRead;
 
-// Response-communicator tags, one per requester role within a rank.
-//
-// With retry-on-timeout (DESIGN.md §8) a fixed per-role tag is no longer
-// enough: a retried request's reply could be satisfied by the *original*
-// attempt's late reply, and the original's reply would then alias the next
-// request from the same role.  Requests that may be retried therefore carry
-// a unique tag from KvRuntime::AllocRespTag() (>= kDynamicRespTagBase);
-// stale replies to abandoned tags sit harmlessly in the mailbox.  The fixed
-// tags below remain for the restart task, which runs single-file.
-//
-// Fixed tags live strictly between the opcode space and the dynamic-tag
-// floor (kOpMax < tag < kDynamicRespTagBase), so a response tag can never
-// be mistaken for an opcode or collide with an AllocRespTag() value — the
-// static_asserts below pin the partition.
-enum RespTag : int {
-  kTagGetResp = 16,     // application thread gets
-  kTagPutAck = 17,      // application thread sequential puts
-  kTagMigrateAck = 18,  // dispatcher chunk acks
-  kTagRedistAck = 19,   // restart-with-redistribution task
-};
-
-// First tag handed out by KvRuntime::AllocRespTag(); fixed RespTag values
-// stay below it.
+// First tag handed out by KvRuntime::AllocRespTag().
 inline constexpr int kDynamicRespTagBase = 100;
-
-// Tag-space partition: opcodes < fixed response tags < dynamic tags.
-static_assert(kOpMax < kTagGetResp && kOpMax < kTagPutAck &&
-                  kOpMax < kTagMigrateAck && kOpMax < kTagRedistAck,
-              "fixed RespTag values must sit above the opcode space");
-static_assert(kTagGetResp < kDynamicRespTagBase &&
-                  kTagPutAck < kDynamicRespTagBase &&
-                  kTagMigrateAck < kDynamicRespTagBase &&
-                  kTagRedistAck < kDynamicRespTagBase,
-              "fixed RespTag values must sit below the dynamic-tag floor");
 static_assert(kOpMax < kDynamicRespTagBase,
               "opcode space must stay below the response-tag floor");
 
+// One put/delete.  PutBatch and ReplAppend carry a list of them as
+// [u32 count] count × ([lp key][lp value][u8 tomb]).
 struct KvRecord {
   std::string key;
   std::string value;
   bool tombstone = false;
 };
 
-// ---- MigrateChunk / PutSync ------------------------------------------------
-// [trace hdr?][u32 dbid][u32 resp_tag][u32 count]
-//   count × ([lp key][lp value][u8 tomb])
-std::string EncodeMigrateChunk(uint32_t dbid, uint32_t resp_tag,
-                               const std::vector<KvRecord>& records,
-                               const obs::TraceContext& trace_ctx = {});
-bool DecodeMigrateChunk(const Slice& payload, uint32_t* dbid,
-                        uint32_t* resp_tag, std::vector<KvRecord>* records,
-                        obs::TraceContext* trace_ctx = nullptr);
-
-// ---- GetReq ----------------------------------------------------------------
-// [trace hdr?][u32 dbid][u32 resp_tag][u32 caller_group][lp key]
-std::string EncodeGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const Slice& key,
-                         const obs::TraceContext& trace_ctx = {});
-bool DecodeGetReq(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
-                  uint32_t* caller_group, std::string* key,
-                  obs::TraceContext* trace_ctx = nullptr);
-
-// ---- GetResp ---------------------------------------------------------------
-// [trace hdr?][u8 found][u8 tombstone][u8 same_group][u64 latest_ssid]
-// [u32 nssids][u64 ...][lp value]
-//
-// `ssids` is the owner's exact live SSTable list (newest first) at response
-// time, filled on a same-group memory miss.  The caller searches only these
-// tables on the shared NVM: a stale reader cached from before an owner
-// compaction can never be consulted, so purged tombstones cannot resurrect.
-struct GetResp {
-  bool found = false;
-  bool tombstone = false;
-  bool same_group = false;
-  uint64_t latest_ssid = 0;
-  std::vector<uint64_t> ssids;
-  std::string value;
-};
-std::string EncodeGetResp(const GetResp& r,
-                          const obs::TraceContext& trace_ctx = {});
-bool DecodeGetResp(const Slice& payload, GetResp* r,
-                   obs::TraceContext* trace_ctx = nullptr);
-
-// ---- Batched submission/completion codec (versioned) -----------------------
-// Every batch frame starts (after the optional trace header) with a one-byte
-// format version so the wire protocol can evolve without re-keying opcodes.
-// Decoders reject frames whose version they do not know; v1 is the only
-// version today.  The version byte (0x01) can never alias the trace magic
-// (first wire byte 0xff) nor a legacy body (those begin with a small dbid /
-// found byte and are carried under different opcodes anyway).
-inline constexpr uint8_t kBatchVersion = 1;
-
 // ---- PutBatch --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 count]
+// [hdr][u32 dbid][u32 resp_tag][u32 count]
 //   count × ([lp key][lp value][u8 tomb])
 std::string EncodePutBatch(uint32_t dbid, uint32_t resp_tag,
                            const std::vector<KvRecord>& records,
@@ -193,7 +101,7 @@ bool DecodePutBatch(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- PutBatchAck -----------------------------------------------------------
-// [trace hdr?][u8 ver][u32 count] count × [i32 status]
+// [hdr][u32 count] count × [i32 status]
 //
 // One PAPYRUSKV_* code per op, in submission order: a partially failed
 // batch surfaces exactly which ops failed (the batch as a whole is still
@@ -204,13 +112,12 @@ bool DecodePutBatchAck(const Slice& payload, std::vector<int32_t>* statuses,
                        obs::TraceContext* trace_ctx = nullptr);
 
 // ---- GetMulti --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 caller_group][u32 count]
+// [hdr][u32 dbid][u32 resp_tag][u32 caller_group][u32 count]
 //   count × ([lp key][u8 flags])
 //
 // flags bit 0 (kGetFullSearch): search the owner's SSTables even when the
 // caller is in the owner's storage group — used by the caller's fallback
-// re-query after a failed shared read (§2.7), replacing the sync path's
-// caller_group=0xffffffff convention on a per-op basis.
+// re-query after a failed shared read (§2.7).
 inline constexpr uint8_t kGetFullSearch = 0x01;
 struct GetMultiOp {
   std::string key;
@@ -224,12 +131,24 @@ bool DecodeGetMulti(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     uint32_t* caller_group, std::vector<GetMultiOp>* ops,
                     obs::TraceContext* trace_ctx = nullptr);
 
+// One key's get result.  `ssids` is the owner's exact live SSTable list
+// (newest first) at response time, filled on a same-group memory miss.
+// The caller searches only these tables on the shared NVM: a stale reader
+// cached from before an owner compaction can never be consulted, so purged
+// tombstones cannot resurrect.  Encoded inside GetMultiResp as the body
+// u8 found, u8 tombstone, u8 same_group, u64 latest_ssid, u32 nssids,
+// nssids × u64, lp value.
+struct GetResp {
+  bool found = false;
+  bool tombstone = false;
+  bool same_group = false;
+  uint64_t latest_ssid = 0;
+  std::vector<uint64_t> ssids;
+  std::string value;
+};
+
 // ---- GetMultiResp ----------------------------------------------------------
-// [trace hdr?][u8 ver][u32 count] count × ([i32 status][lp GetResp-body])
-//
-// Each entry embeds one length-prefixed GetResp body (the legacy encoding,
-// no nested trace header), so the single-op and batched response carry
-// byte-identical per-key payloads.
+// [hdr][u32 count] count × ([i32 status][lp GetResp body])
 struct GetMultiResult {
   int32_t status = PAPYRUSKV_SUCCESS;
   GetResp resp;
@@ -241,7 +160,7 @@ bool DecodeGetMultiResp(const Slice& payload,
                         obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplAppend ------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][u64 epoch]
+// [hdr][u32 dbid][u32 resp_tag][u32 primary][u64 epoch]
 // [u64 first_seq][u64 flushed_through][u8 reset][u32 count]
 //   count × ([lp key][lp value][u8 tomb])
 //
@@ -269,7 +188,7 @@ bool DecodeReplAppend(const Slice& payload, uint32_t* dbid,
                       obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplAppendAck ---------------------------------------------------------
-// [trace hdr?][u8 ver][u64 epoch][u64 acked_seq][u8 ok]
+// [hdr][u64 epoch][u64 acked_seq][u8 ok]
 //
 // ok=1: the follower has applied every op up to and including acked_seq
 // under `epoch`.  ok=0 is a NACK — epoch mismatch or sequence gap; `epoch`
@@ -283,7 +202,7 @@ bool DecodeReplAppendAck(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplQuery -------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][u8 promote]
+// [hdr][u32 dbid][u32 resp_tag][u32 primary][u8 promote]
 //
 // Failover election probe for `primary`'s partition.  promote=0 asks the
 // follower to report its shadow progress; promote=1 tells the elected
@@ -297,7 +216,7 @@ bool DecodeReplQuery(const Slice& payload, uint32_t* dbid,
                      obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplQueryResp ---------------------------------------------------------
-// [trace hdr?][u8 ver][u64 epoch][u64 last_seq][u8 in_sync]
+// [hdr][u64 epoch][u64 last_seq][u8 in_sync]
 //
 // The follower's shadow progress for the queried primary: highest applied
 // (epoch, seq) and whether it believes its shadow is a gap-free copy of the
@@ -310,7 +229,7 @@ bool DecodeReplQueryResp(const Slice& payload, uint64_t* epoch,
                          obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplRead --------------------------------------------------------------
-// [trace hdr?][u8 ver][u32 dbid][u32 resp_tag][u32 primary][lp key]
+// [hdr][u32 dbid][u32 resp_tag][u32 primary][lp key]
 //
 // Read-from-replica: look `key` up in the follower's shadow MemTable for
 // `primary`'s partition.  A shadow miss is not NOT_FOUND — the shadow only
@@ -325,7 +244,7 @@ bool DecodeReplRead(const Slice& payload, uint32_t* dbid, uint32_t* resp_tag,
                     obs::TraceContext* trace_ctx = nullptr);
 
 // ---- ReplReadResp ----------------------------------------------------------
-// [trace hdr?][u8 ver][u8 ok][u8 found][u8 tombstone][lp value]
+// [hdr][u8 ok][u8 found][u8 tombstone][lp value]
 std::string EncodeReplReadResp(bool ok, bool found, bool tombstone,
                                const Slice& value,
                                const obs::TraceContext& trace_ctx = {});

@@ -12,10 +12,10 @@ namespace papyrus::net {
 namespace {
 // Internal collective tags (channel 1 only, so they can never collide with
 // user traffic even though values overlap).
-constexpr int kTagBarrierIn = 1;
-constexpr int kTagBarrierOut = 2;
-constexpr int kTagGather = 3;
-constexpr int kTagBcast = 4;
+constexpr int kBarrierInTag = 1;
+constexpr int kBarrierOutTag = 2;
+constexpr int kGatherTag = 3;
+constexpr int kBcastTag = 4;
 }  // namespace
 
 void Mailbox::Deliver(Message msg) {
@@ -182,11 +182,11 @@ void Communicator::Barrier() const {
   const int n = size();
   if (n == 1) return;
   if (rank_ == 0) {
-    for (int r = 1; r < n; ++r) RecvInternal(kAnySource, kTagBarrierIn);
-    for (int r = 1; r < n; ++r) SendInternal(r, kTagBarrierOut, Slice());
+    for (int r = 1; r < n; ++r) RecvInternal(kAnySource, kBarrierInTag);
+    for (int r = 1; r < n; ++r) SendInternal(r, kBarrierOutTag, Slice());
   } else {
-    SendInternal(0, kTagBarrierIn, Slice());
-    RecvInternal(0, kTagBarrierOut);
+    SendInternal(0, kBarrierInTag, Slice());
+    RecvInternal(0, kBarrierOutTag);
   }
 }
 
@@ -201,14 +201,14 @@ bool Communicator::BarrierFor(uint64_t timeout_us) const {
   Message m;
   if (rank_ == 0) {
     for (int r = 1; r < n; ++r) {
-      if (!RecvInternalFor(kAnySource, kTagBarrierIn, remaining(), &m)) {
+      if (!RecvInternalFor(kAnySource, kBarrierInTag, remaining(), &m)) {
         return false;
       }
     }
-    for (int r = 1; r < n; ++r) SendInternal(r, kTagBarrierOut, Slice());
+    for (int r = 1; r < n; ++r) SendInternal(r, kBarrierOutTag, Slice());
   } else {
-    SendInternal(0, kTagBarrierIn, Slice());
-    if (!RecvInternalFor(0, kTagBarrierOut, remaining(), &m)) return false;
+    SendInternal(0, kBarrierInTag, Slice());
+    if (!RecvInternalFor(0, kBarrierOutTag, remaining(), &m)) return false;
   }
   return true;
 }
@@ -224,16 +224,16 @@ void Communicator::Allgather(const Slice& mine,
   if (rank_ == 0) {
     (*out)[0] = mine.ToString();
     for (int i = 1; i < n; ++i) {
-      Message m = RecvInternal(kAnySource, kTagGather);
+      Message m = RecvInternal(kAnySource, kGatherTag);
       (*out)[static_cast<size_t>(m.src)] = std::move(m.payload);
     }
     // Serialize all contributions and broadcast.
     std::string packed;
     for (const auto& s : *out) PutLengthPrefixed(&packed, s);
-    for (int r = 1; r < n; ++r) SendInternal(r, kTagBcast, packed);
+    for (int r = 1; r < n; ++r) SendInternal(r, kBcastTag, packed);
   } else {
-    SendInternal(0, kTagGather, mine);
-    Message m = RecvInternal(0, kTagBcast);
+    SendInternal(0, kGatherTag, mine);
+    Message m = RecvInternal(0, kBcastTag);
     Slice in(m.payload);
     for (int i = 0; i < n; ++i) {
       Slice part;
@@ -250,10 +250,10 @@ void Communicator::Bcast(std::string* data, int root) const {
   if (n == 1) return;
   if (rank_ == root) {
     for (int r = 0; r < n; ++r) {
-      if (r != root) SendInternal(r, kTagBcast, *data);
+      if (r != root) SendInternal(r, kBcastTag, *data);
     }
   } else {
-    Message m = RecvInternal(root, kTagBcast);
+    Message m = RecvInternal(root, kBcastTag);
     *data = std::move(m.payload);
   }
 }

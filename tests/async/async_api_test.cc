@@ -127,6 +127,35 @@ TEST_F(AsyncApiTest, FenceIsACompletionFenceForFireAndForgetPuts) {
   });
 }
 
+TEST_F(AsyncApiTest, FenceReportsFireAndForgetFailures) {
+  // A NULL-event put has no handle to carry its status, so the fence must:
+  // the owner fails the first op it applies, and the sender's next fence
+  // reports that failure exactly once.
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("ffaildb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+    if (ctx.rank == 0) Arm("batch.op.fail=rank1@op1");
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      for (const auto& k : KeysOwnedBy(shard, 1, 4)) {
+        ASSERT_EQ(PutAsyncStr(db, k, "ff", nullptr), PAPYRUSKV_SUCCESS);
+      }
+      EXPECT_NE(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      fault::Registry::Instance().DisableAll();
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
 TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {
   // The SDCB-under-retry hazard: three frames to one destination in one
   // cycle (put k=v1 / get k / put k=v2 — a kind change breaks the frame)

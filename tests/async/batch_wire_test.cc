@@ -1,9 +1,9 @@
-// Versioned batch codec (core/wire.h, DESIGN.md §9): byte-for-byte pins of
-// the v1 frame layouts, proof that the batch opcodes leave every legacy
-// frame encoding untouched, round trips with and without a trace header,
-// and negative decodes — truncation at every prefix length, an unknown
-// version byte, trailing garbage, and a deterministic random-bytes fuzz
-// that must reject (or cleanly accept) without crashing.
+// Versioned frame codec (core/wire.h, DESIGN.md §9): byte-for-byte pins of
+// the v2 frame layouts (the shared header, the shared record list, the
+// per-key GetResp body), round trips with and without a trace context, and
+// negative decodes — truncation at every prefix length, an unknown version
+// byte, trailing garbage, and a deterministic random-bytes fuzz that must
+// reject (or cleanly accept) without crashing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,34 +36,64 @@ std::vector<KvRecord> SampleRecords() {
 }
 
 // ---- Byte-for-byte pins ----------------------------------------------------
-// Hand-built v1 frames, exactly what the encoders must write.  If any of
+// Hand-built v2 frames, exactly what the encoders must write.  If any of
 // these pins break, the wire format changed: bump kBatchVersion instead.
 
-std::string PinnedPutBatch(uint32_t dbid, uint32_t resp_tag,
-                           const std::vector<KvRecord>& records) {
-  std::string out;
-  out.push_back(1);  // kBatchVersion
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, static_cast<uint32_t>(records.size()));
+// [u8 ver=2][u8 flags=0]: the header of a frame without a trace context.
+std::string PinnedHeader() { return std::string("\x02\x00", 2); }
+
+void PinRecords(std::string* out, const std::vector<KvRecord>& records) {
+  PutFixed32(out, static_cast<uint32_t>(records.size()));
   for (const KvRecord& r : records) {
-    PutLengthPrefixed(&out, r.key);
-    PutLengthPrefixed(&out, r.value);
-    out.push_back(r.tombstone ? 1 : 0);
+    PutLengthPrefixed(out, r.key);
+    PutLengthPrefixed(out, r.value);
+    out->push_back(r.tombstone ? 1 : 0);
   }
-  return out;
 }
 
 TEST(BatchWireTest, PutBatchPinnedBytes) {
   const auto records = SampleRecords();
-  EXPECT_EQ(EncodePutBatch(7, 120, records), PinnedPutBatch(7, 120, records));
+  std::string pinned = PinnedHeader();
+  PutFixed32(&pinned, 7);    // dbid
+  PutFixed32(&pinned, 120);  // resp_tag
+  PinRecords(&pinned, records);
+  EXPECT_EQ(EncodePutBatch(7, 120, records), pinned);
+}
+
+TEST(BatchWireTest, TracedHeaderPinnedBytes) {
+  // flags bit 0 set, then the trace and span ids, then the body.
+  std::string pinned("\x02\x01", 2);
+  PutFixed64(&pinned, MakeCtx().trace_id);
+  PutFixed64(&pinned, MakeCtx().span_id);
+  PutFixed32(&pinned, 1);  // count
+  PutFixed32(&pinned, static_cast<uint32_t>(PAPYRUSKV_SUCCESS));
+  EXPECT_EQ(EncodePutBatchAck({PAPYRUSKV_SUCCESS}, MakeCtx()), pinned);
+}
+
+TEST(BatchWireTest, ReplAppendSharesTheRecordList) {
+  ReplAppendMeta meta;
+  meta.primary = 1;
+  meta.epoch = 4;
+  meta.first_seq = 17;
+  meta.flushed_through = 9;
+  meta.reset = true;
+  const auto records = SampleRecords();
+  std::string pinned = PinnedHeader();
+  PutFixed32(&pinned, 7);    // dbid
+  PutFixed32(&pinned, 120);  // resp_tag
+  PutFixed32(&pinned, 1);    // primary
+  PutFixed64(&pinned, 4);    // epoch
+  PutFixed64(&pinned, 17);   // first_seq
+  PutFixed64(&pinned, 9);    // flushed_through
+  pinned.push_back(1);       // reset
+  PinRecords(&pinned, records);
+  EXPECT_EQ(EncodeReplAppend(7, 120, meta, records), pinned);
 }
 
 TEST(BatchWireTest, PutBatchAckPinnedBytes) {
   const std::vector<int32_t> statuses = {PAPYRUSKV_SUCCESS, PAPYRUSKV_ERR,
                                          PAPYRUSKV_SUCCESS};
-  std::string pinned;
-  pinned.push_back(1);
+  std::string pinned = PinnedHeader();
   PutFixed32(&pinned, 3);
   for (int32_t s : statuses) PutFixed32(&pinned, static_cast<uint32_t>(s));
   EXPECT_EQ(EncodePutBatchAck(statuses), pinned);
@@ -74,8 +104,7 @@ TEST(BatchWireTest, GetMultiPinnedBytes) {
   ops[0].key = "k0";
   ops[1].key = "k1";
   ops[1].full_search = true;
-  std::string pinned;
-  pinned.push_back(1);
+  std::string pinned = PinnedHeader();
   PutFixed32(&pinned, 9);    // dbid
   PutFixed32(&pinned, 130);  // resp_tag
   PutFixed32(&pinned, 2);    // caller_group
@@ -97,62 +126,26 @@ TEST(BatchWireTest, GetMultiRespEmbedsLegacyGetRespBodies) {
   miss.resp.latest_ssid = 42;
   miss.resp.ssids = {42, 41};
 
-  std::string pinned;
-  pinned.push_back(1);
+  // Per-key body: found, tombstone, same_group, latest_ssid, ssid list,
+  // value.
+  auto body = [](const GetResp& r) {
+    std::string out;
+    out.push_back(r.found ? 1 : 0);
+    out.push_back(r.tombstone ? 1 : 0);
+    out.push_back(r.same_group ? 1 : 0);
+    PutFixed64(&out, r.latest_ssid);
+    PutFixed32(&out, static_cast<uint32_t>(r.ssids.size()));
+    for (uint64_t ssid : r.ssids) PutFixed64(&out, ssid);
+    PutLengthPrefixed(&out, r.value);
+    return out;
+  };
+  std::string pinned = PinnedHeader();
   PutFixed32(&pinned, 2);
   PutFixed32(&pinned, static_cast<uint32_t>(PAPYRUSKV_SUCCESS));
-  // Each entry embeds the legacy single-op GetResp encoding verbatim.
-  PutLengthPrefixed(&pinned, EncodeGetResp(hit.resp));
+  PutLengthPrefixed(&pinned, body(hit.resp));
   PutFixed32(&pinned, static_cast<uint32_t>(PAPYRUSKV_NOT_FOUND));
-  PutLengthPrefixed(&pinned, EncodeGetResp(miss.resp));
+  PutLengthPrefixed(&pinned, body(miss.resp));
   EXPECT_EQ(EncodeGetMultiResp({hit, miss}), pinned);
-}
-
-// ---- Legacy frames untouched -----------------------------------------------
-
-TEST(BatchWireTest, LegacyFrameEncodingsAreUnchangedByTheBatchCodec) {
-  // The pre-batch frame kinds must still write their original bytes (no
-  // version byte, no other prefix) and decode them unchanged — the batch
-  // codec rides new opcodes, it does not re-key existing traffic.
-  {
-    std::string pinned;
-    PutFixed32(&pinned, 3);    // dbid
-    PutFixed32(&pinned, 200);  // resp_tag
-    PutFixed32(&pinned, 1);    // count
-    PutLengthPrefixed(&pinned, "k");
-    PutLengthPrefixed(&pinned, "v");
-    pinned.push_back(0);
-    EXPECT_EQ(EncodeMigrateChunk(3, 200, {{"k", "v", false}}), pinned);
-    uint32_t dbid = 0, resp_tag = 0;
-    std::vector<KvRecord> records;
-    ASSERT_TRUE(DecodeMigrateChunk(pinned, &dbid, &resp_tag, &records));
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].key, "k");
-  }
-  {
-    std::string pinned;
-    PutFixed32(&pinned, 5);
-    PutFixed32(&pinned, 210);
-    PutFixed32(&pinned, 0xffffffffu);
-    PutLengthPrefixed(&pinned, "needle");
-    EXPECT_EQ(EncodeGetReq(5, 210, 0xffffffffu, "needle"), pinned);
-    uint32_t dbid = 0, resp_tag = 0, group = 0;
-    std::string key;
-    ASSERT_TRUE(DecodeGetReq(pinned, &dbid, &resp_tag, &group, &key));
-    EXPECT_EQ(key, "needle");
-  }
-}
-
-TEST(BatchWireTest, VersionByteCannotAliasLegacyFirstBytes) {
-  // Batch frames start with 0x01 after the optional trace header; legacy
-  // frames start with a dbid low byte or a found flag, and the trace header
-  // starts with 0xff.  A batch frame can therefore never be misread as a
-  // trace header, and a legacy decoder handed a batch frame fails cleanly.
-  const std::string frame = EncodePutBatch(7, 120, SampleRecords());
-  EXPECT_EQ(static_cast<uint8_t>(frame[0]), kBatchVersion);
-  const std::string traced =
-      EncodePutBatch(7, 120, SampleRecords(), MakeCtx());
-  EXPECT_EQ(static_cast<uint8_t>(traced[0]), 0xffu);
 }
 
 // ---- Round trips -----------------------------------------------------------
@@ -256,7 +249,7 @@ TEST(BatchWireTest, TruncationAtEveryLengthIsRejected) {
 
 TEST(BatchWireTest, UnknownVersionIsRejected) {
   std::string wire = EncodePutBatch(7, 120, SampleRecords());
-  wire[0] = 2;  // a future version this decoder does not know
+  wire[0] = 1;  // the retired v1 layout
   uint32_t dbid = 0, resp_tag = 0;
   std::vector<KvRecord> records;
   EXPECT_FALSE(DecodePutBatch(wire, &dbid, &resp_tag, &records));
@@ -293,7 +286,9 @@ TEST(BatchWireTest, RandomBytesNeverCrashTheDecoders) {
     }
     // Half the rounds lead with a valid version byte so the field parsers
     // after the version check also see fuzzed input.
-    if (round % 2 == 0) noise.insert(noise.begin(), 1);
+    if (round % 2 == 0) {
+      noise.insert(noise.begin(), static_cast<char>(kBatchVersion));
+    }
     uint32_t a = 0, b = 0, c = 0;
     std::vector<KvRecord> records;
     std::vector<int32_t> statuses;

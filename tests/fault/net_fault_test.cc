@@ -13,7 +13,10 @@
 namespace papyrus::testutil {
 namespace {
 
-class NetFaultTest : public FaultTest {};
+class NetFaultTest : public FaultTest {
+ protected:
+  void RunDroppedMessages(int consistency);
+};
 
 TEST_F(NetFaultTest, RecvForTimesOutWithNoSender) {
   sim::Topology topo;
@@ -70,17 +73,21 @@ std::vector<std::string> KeysOwnedBy(const core::DbShardPtr& shard, int owner,
   return keys;
 }
 
-TEST_F(NetFaultTest, DroppedMessagesAreRetriedToSuccess) {
-  // 10% drop on every runtime request/reply; the bounded-retry layer must
-  // absorb it completely.  (8 attempts at p=0.1 each way: the chance any
-  // single op exhausts its retries is ~1e-6 per the armed seed — and the
-  // fixed seed makes the run reproducible regardless.)
+// 10% drop on every runtime request/reply; the bounded-retry ladder must
+// absorb it completely.  (8 attempts at p=0.1 each way: the chance any
+// single op exhausts its retries is ~1e-6 per the armed seed — and the
+// fixed seed makes the run reproducible regardless.)  Sequential mode
+// drives put_batch/get_multi frames through the pipeline; relaxed mode
+// drives migration chunks through the dispatcher, one fence per put so
+// every chunk is its own round trip.
+void NetFaultTest::RunDroppedMessages(int consistency) {
   setenv("PAPYRUSKV_TIMEOUT_MS", "100", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "8", 1);
+  const bool relaxed = consistency == PAPYRUSKV_RELAXED;
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
     ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
-    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    opt.consistency = consistency;
     papyruskv_db_t db;
     ASSERT_EQ(papyruskv_open("dropdb", PAPYRUSKV_CREATE, &opt, &db),
               PAPYRUSKV_SUCCESS);
@@ -95,19 +102,41 @@ TEST_F(NetFaultTest, DroppedMessagesAreRetriedToSuccess) {
       ASSERT_EQ(PutStr(db, k, "v:" + k + ":" + std::to_string(ctx.rank)),
                 PAPYRUSKV_SUCCESS)
           << k;
+      if (relaxed) {
+        ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS) << k;
+      }
     }
-    for (const auto& k : keys) {
-      std::string out;
-      ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
-      EXPECT_EQ(out, "v:" + k + ":" + std::to_string(ctx.rank));
+    if (!relaxed) {
+      for (const auto& k : keys) {
+        std::string out;
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
+        EXPECT_EQ(out, "v:" + k + ":" + std::to_string(ctx.rank));
+      }
     }
     ctx.comm.Barrier();
     fault::Registry::Instance().DisableAll();
+    if (relaxed) {
+      // Every migrated record landed at its owner despite the drops.
+      for (const auto& k : KeysOwnedBy(shard, ctx.rank, 20)) {
+        std::string out;
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
+        EXPECT_EQ(out, "v:" + k + ":" + std::to_string(peer));
+      }
+    }
 
     EXPECT_GT(
         fault::Registry::Instance().GetPoint("net.msg.drop").injected(), 0u);
+    ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
+}
+
+TEST_F(NetFaultTest, DroppedMessagesAreRetriedToSuccess) {
+  RunDroppedMessages(PAPYRUSKV_SEQUENTIAL);
+}
+
+TEST_F(NetFaultTest, DroppedMigrationChunksAreRetriedToSuccess) {
+  RunDroppedMessages(PAPYRUSKV_RELAXED);
 }
 
 TEST_F(NetFaultTest, PersistentDropSurfacesTimeoutAndMarksSuspect) {

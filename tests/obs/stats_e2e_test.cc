@@ -182,7 +182,7 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
         EXPECT_TRUE(lane == "app" || lane == "compaction" ||
                     lane == "dispatcher" || lane == "handler" ||
                     lane == "aux" || lane == "async" ||
-                    lane == "async_repl")
+                    lane == "async_repl" || lane == "sampler")
             << lane;
         saw_named_thread = true;
       }

@@ -1,15 +1,12 @@
-// Wire-format compatibility for the optional trace-context header
-// (core/wire.h): payloads written without a context must stay
-// byte-identical to the pre-trace encoding (so old traces of bytes decode
-// unchanged), payloads with a context must round-trip it through all four
-// message kinds, and a truncated header must be rejected rather than
-// misparsed as a legacy body.
+// The trace context in the frame header (core/wire.h): a sampled context
+// must round-trip through every frame kind, an absent or unsampled one must
+// encode as the bare two-byte header, and a truncated header must be
+// rejected rather than misparsed as a body.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/coding.h"
 #include "core/wire.h"
 
 namespace papyrus::core {
@@ -32,128 +29,139 @@ std::vector<KvRecord> SampleRecords() {
   return records;
 }
 
-// Hand-built legacy GetReq body, exactly what the pre-trace encoder wrote.
-std::string LegacyGetReq(uint32_t dbid, uint32_t resp_tag,
-                         uint32_t caller_group, const std::string& key) {
-  std::string out;
-  PutFixed32(&out, dbid);
-  PutFixed32(&out, resp_tag);
-  PutFixed32(&out, caller_group);
-  PutLengthPrefixed(&out, key);
-  return out;
-}
-
-TEST(TraceWireTest, NoContextEncodingIsLegacyByteIdentical) {
-  // Default (invalid) context: the encoder must add nothing.
-  const std::string wire = EncodeGetReq(7, 101, 2, "k1");
-  EXPECT_EQ(wire, LegacyGetReq(7, 101, 2, "k1"));
-  // An explicitly invalid context behaves the same.
-  obs::TraceContext invalid;
-  EXPECT_EQ(EncodeGetReq(7, 101, 2, "k1", invalid), wire);
-}
-
-TEST(TraceWireTest, LegacyPayloadDecodesWithInvalidContext) {
-  // Old writer → new reader: a legacy body decodes and reports no context.
-  const std::string wire = LegacyGetReq(3, 200, 0xffffffffu, "needle");
-  uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
-  obs::TraceContext ctx = MakeCtx();  // must be reset by the decoder
-  ASSERT_TRUE(DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key,
-                           &ctx));
-  EXPECT_EQ(dbid, 3u);
-  EXPECT_EQ(resp_tag, 200u);
-  EXPECT_EQ(caller_group, 0xffffffffu);
-  EXPECT_EQ(key, "needle");
-  EXPECT_FALSE(ctx.valid());
+void ExpectCtx(const obs::TraceContext& got) {
+  EXPECT_TRUE(got.valid());
+  EXPECT_EQ(got.trace_id, MakeCtx().trace_id);
+  EXPECT_EQ(got.span_id, MakeCtx().span_id);
 }
 
 TEST(TraceWireTest, ContextRoundTripsThroughEveryMessageKind) {
   const obs::TraceContext ctx = MakeCtx();
-
+  uint32_t dbid = 0, resp_tag = 0, u32 = 0;
+  uint64_t epoch = 0, seq = 0;
+  bool b1 = false, b2 = false, b3 = false;
+  std::string str;
+  obs::TraceContext got;
   {
-    const auto records = SampleRecords();
-    const std::string wire = EncodeMigrateChunk(4, 120, records, ctx);
-    uint32_t dbid = 0, resp_tag = 0;
     std::vector<KvRecord> out;
-    obs::TraceContext got;
-    ASSERT_TRUE(DecodeMigrateChunk(wire, &dbid, &resp_tag, &out, &got));
+    ASSERT_TRUE(DecodePutBatch(EncodePutBatch(4, 120, SampleRecords(), ctx),
+                               &dbid, &resp_tag, &out, &got));
     EXPECT_EQ(dbid, 4u);
     EXPECT_EQ(resp_tag, 120u);
-    ASSERT_EQ(out.size(), records.size());
-    EXPECT_EQ(out[0].key, "alpha");
+    ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].value, "value-a");
     EXPECT_TRUE(out[1].tombstone);
-    EXPECT_TRUE(got.valid());
-    EXPECT_EQ(got.trace_id, ctx.trace_id);
-    EXPECT_EQ(got.span_id, ctx.span_id);
+    ExpectCtx(got);
   }
   {
-    const std::string wire = EncodeGetReq(9, 130, 1, "key", ctx);
-    uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-    std::string key;
-    obs::TraceContext got;
-    ASSERT_TRUE(
-        DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key, &got));
-    EXPECT_EQ(key, "key");
-    EXPECT_EQ(got.trace_id, ctx.trace_id);
-    EXPECT_EQ(got.span_id, ctx.span_id);
+    std::vector<int32_t> statuses;
+    ASSERT_TRUE(DecodePutBatchAck(EncodePutBatchAck({PAPYRUSKV_ERR}, ctx),
+                                  &statuses, &got));
+    EXPECT_EQ(statuses, (std::vector<int32_t>{PAPYRUSKV_ERR}));
+    ExpectCtx(got);
   }
   {
-    GetResp resp;
-    resp.found = true;
-    resp.same_group = true;
-    resp.latest_ssid = 42;
-    resp.ssids = {42, 41};
-    resp.value = "payload";
-    const std::string wire = EncodeGetResp(resp, ctx);
-    GetResp out;
-    obs::TraceContext got;
-    ASSERT_TRUE(DecodeGetResp(wire, &out, &got));
-    EXPECT_TRUE(out.found);
-    EXPECT_TRUE(out.same_group);
-    EXPECT_EQ(out.ssids, resp.ssids);
-    EXPECT_EQ(out.value, "payload");
-    EXPECT_EQ(got.trace_id, ctx.trace_id);
-    EXPECT_EQ(got.span_id, ctx.span_id);
+    std::vector<GetMultiOp> ops;
+    ASSERT_TRUE(DecodeGetMulti(EncodeGetMulti(9, 130, 1, {{"key", true}}, ctx),
+                               &dbid, &resp_tag, &u32, &ops, &got));
+    ASSERT_EQ(ops.size(), 1u);
+    EXPECT_EQ(ops[0].key, "key");
+    ExpectCtx(got);
   }
+  {
+    GetMultiResult r;
+    r.resp.found = true;
+    r.resp.same_group = true;
+    r.resp.latest_ssid = 42;
+    r.resp.ssids = {42, 41};
+    r.resp.value = "payload";
+    std::vector<GetMultiResult> out;
+    ASSERT_TRUE(DecodeGetMultiResp(EncodeGetMultiResp({r}, ctx), &out, &got));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0].resp.found);
+    EXPECT_EQ(out[0].resp.ssids, r.resp.ssids);
+    EXPECT_EQ(out[0].resp.value, "payload");
+    ExpectCtx(got);
+  }
+  {
+    ReplAppendMeta meta;
+    meta.primary = 2;
+    meta.epoch = 3;
+    meta.first_seq = 10;
+    meta.reset = true;
+    ReplAppendMeta out_meta;
+    std::vector<KvRecord> out;
+    ASSERT_TRUE(DecodeReplAppend(
+        EncodeReplAppend(5, 140, meta, SampleRecords(), ctx), &dbid,
+        &resp_tag, &out_meta, &out, &got));
+    EXPECT_EQ(out_meta.first_seq, 10u);
+    EXPECT_TRUE(out_meta.reset);
+    EXPECT_EQ(out.size(), 2u);
+    ExpectCtx(got);
+  }
+  ASSERT_TRUE(DecodeReplAppendAck(EncodeReplAppendAck(3, 11, true, ctx),
+                                  &epoch, &seq, &b1, &got));
+  EXPECT_EQ(seq, 11u);
+  ExpectCtx(got);
+  ASSERT_TRUE(DecodeReplQuery(EncodeReplQuery(5, 150, 2, true, ctx), &dbid,
+                              &resp_tag, &u32, &b1, &got));
+  EXPECT_TRUE(b1);
+  ExpectCtx(got);
+  ASSERT_TRUE(DecodeReplQueryResp(EncodeReplQueryResp(3, 12, true, ctx),
+                                  &epoch, &seq, &b1, &got));
+  EXPECT_EQ(seq, 12u);
+  ExpectCtx(got);
+  ASSERT_TRUE(DecodeReplRead(EncodeReplRead(5, 160, 2, "rk", ctx), &dbid,
+                             &resp_tag, &u32, &str, &got));
+  EXPECT_EQ(str, "rk");
+  ExpectCtx(got);
+  ASSERT_TRUE(DecodeReplReadResp(EncodeReplReadResp(true, true, false, "rv",
+                                                    ctx),
+                                 &b1, &b2, &b3, &str, &got));
+  EXPECT_EQ(str, "rv");
+  ExpectCtx(got);
 }
 
 TEST(TraceWireTest, DecodersAcceptNullContextOut) {
-  // New payload, context-oblivious caller (the pre-trace call signature):
-  // the header is consumed and the body still decodes.
-  const std::string wire = EncodeGetReq(5, 140, 0, "k", MakeCtx());
+  // Context-oblivious caller: the header's ids are consumed and the body
+  // still decodes.
+  const std::string wire = EncodeGetMulti(5, 140, 0, {{"k", false}}, MakeCtx());
   uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
-  std::string key;
-  ASSERT_TRUE(DecodeGetReq(wire, &dbid, &resp_tag, &caller_group, &key));
+  std::vector<GetMultiOp> ops;
+  ASSERT_TRUE(DecodeGetMulti(wire, &dbid, &resp_tag, &caller_group, &ops));
   EXPECT_EQ(dbid, 5u);
-  EXPECT_EQ(key, "k");
-}
-
-TEST(TraceWireTest, HeaderFirstByteCannotCollideWithLegacyBodies) {
-  // The magic's little-endian first byte is 0xff; legacy MigrateChunk and
-  // GetReq bodies start with a small dbid and GetResp with a 0/1 flag, so
-  // the sniff in GetTraceCtx is unambiguous.
-  const std::string with_ctx = EncodeGetReq(1, 100, 0, "k", MakeCtx());
-  EXPECT_EQ(static_cast<unsigned char>(with_ctx[0]), 0xffu);
-  const std::string legacy = EncodeGetReq(1, 100, 0, "k");
-  EXPECT_NE(static_cast<unsigned char>(legacy[0]), 0xffu);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].key, "k");
 }
 
 TEST(TraceWireTest, TruncatedTraceHeaderIsRejected) {
-  const std::string wire = EncodeGetReq(5, 150, 0, "key", MakeCtx());
-  // Any prefix that contains the magic but not the full header must fail
-  // loudly instead of sliding the cursor into garbage.
-  for (size_t len = 4; len < 21; ++len) {
-    Slice in(wire.data(), len);
-    obs::TraceContext ctx;
-    EXPECT_FALSE(GetTraceCtx(&in, &ctx)) << "prefix length " << len;
+  // [ver][flags=1][u64 trace][u64 span]: any cut inside the ids must fail
+  // loudly instead of sliding the cursor into the body.
+  const std::string wire =
+      EncodeGetMulti(5, 150, 0, {{"key", false}}, MakeCtx());
+  for (size_t len = 0; len < 18; ++len) {
+    uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
+    std::vector<GetMultiOp> ops;
+    EXPECT_FALSE(DecodeGetMulti(std::string(wire, 0, len), &dbid, &resp_tag,
+                                &caller_group, &ops))
+        << "prefix length " << len;
   }
 }
 
 TEST(TraceWireTest, UnsampledContextEncodesNothing) {
   obs::TraceContext ctx = MakeCtx();
   ctx.sampled = false;
-  EXPECT_EQ(EncodeGetReq(2, 160, 0, "k", ctx), EncodeGetReq(2, 160, 0, "k"));
+  const std::string wire = EncodeGetMulti(2, 160, 0, {{"k", false}}, ctx);
+  EXPECT_EQ(wire, EncodeGetMulti(2, 160, 0, {{"k", false}}));
+  // The bare header: version, then flags with the context bit clear.
+  EXPECT_EQ(static_cast<uint8_t>(wire[0]), kBatchVersion);
+  EXPECT_EQ(wire[1], 0);
+  obs::TraceContext got = MakeCtx();  // must be reset by the decoder
+  uint32_t dbid = 0, resp_tag = 0, caller_group = 0;
+  std::vector<GetMultiOp> ops;
+  ASSERT_TRUE(
+      DecodeGetMulti(wire, &dbid, &resp_tag, &caller_group, &ops, &got));
+  EXPECT_FALSE(got.valid());
 }
 
 }  // namespace

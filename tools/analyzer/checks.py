@@ -21,7 +21,9 @@ Rules:
                      declaration says returns Status is a silent drop.
   codec-symmetry     Every EncodeX/DecodeX pair in one file must append/
                      consume the same field sequence in the same order
-                     (loops compared as groups), and every decoded count
+                     (loops compared as groups; the frame-header and
+                     record-list helpers count as one field each), and
+                     every decoded count
                      that flows into reserve()/resize() must pass through
                      ReserveBound (the fuzz-found bad_alloc class).
   pipeline-blocking  Call-graph reachability: no blocking call (Recv,
@@ -35,8 +37,9 @@ Rules:
                      (GetCounter/GetGauge/GetHistogram take the registry
                      mutex; resolve pointers at Configure time instead).
   wire-version       A diff that edits the body of a versioned wire-frame
-                     codec must also touch the version byte or the
-                     byte-pin tests (run with --diff-base/--diff-file).
+                     codec (one naming the version byte or writing/reading
+                     the frame header) must also touch the version byte or
+                     the byte-pin tests (run with --diff-base/--diff-file).
 """
 
 import re
@@ -53,7 +56,7 @@ PIPELINE_ROOTS = ("ProcessCycle",)
 # collective from the pipeline thread deadlocks the rank), the pipeline's
 # own completion fence, and completion-handle waits.
 BLOCKING_CALLS = frozenset({
-    "Recv", "RecvInternal", "RecvResponse",
+    "Recv", "RecvInternal",
     "Barrier", "BarrierFor", "CollectiveBarrier", "RestartBarrier",
     "SignalWait", "WaitEvent", "WaitAsyncOp", "Wait",
     "WaitMigrationsDrained", "WaitFlushesDrained",
@@ -81,6 +84,7 @@ LOCKING_CALLS = frozenset({
 # token that marks the version byte itself.
 WIRE_GUARD_FILES = ("src/core/wire.h", "tests/async/batch_wire_test.cc")
 WIRE_VERSION_TOKEN = "kBatchVersion"
+WIRE_HEADER_CALL_RE = re.compile(r"\b(?:PutHeader|GetHeader)\s*\(")
 
 
 class Violation:
@@ -251,16 +255,16 @@ def check_status_discard(model):
 # ---------------------------------------------------------------------------
 
 _ENC_OPS = (
-    (re.compile(r"\bPutTraceCtx\s*\("), "trace"),
-    (re.compile(r"\bout\s*[.\-]>?\s*push_back\s*\([^;)]*[Vv]ersion"), "ver"),
+    (re.compile(r"\bPutHeader\s*\("), "hdr"),
+    (re.compile(r"\bPutRecords\s*\("), "records"),
     (re.compile(r"\bPutFixed32\s*\("), "u32"),
     (re.compile(r"\bPutFixed64\s*\("), "u64"),
     (re.compile(r"\bPutLengthPrefixed\s*\("), "lp"),
     (re.compile(r"\bout\s*\.\s*push_back\s*\("), "u8"),
 )
 _DEC_OPS = (
-    (re.compile(r"\bGetTraceCtx\s*\("), "trace"),
-    (re.compile(r"\bGetBatchVersion\s*\("), "ver"),
+    (re.compile(r"\bGetHeader\s*\("), "hdr"),
+    (re.compile(r"\bGetRecords\s*\("), "records"),
     (re.compile(r"\bGetFixed32\s*\("), "u32"),
     (re.compile(r"\bGetFixed64\s*\("), "u64"),
     (re.compile(r"\bGetLengthPrefixed\s*\("), "lp"),
@@ -272,7 +276,7 @@ _DECODED_VAR_RE = re.compile(
 _RESERVE_RE = re.compile(r"(?:\.|->)\s*(reserve|resize)\s*\(([^;]*)\)")
 
 
-def _codec_sequence(fn, ops, is_decode):
+def _codec_sequence(fn, ops):
     """Flattened op list; ops inside a loop body become one ('rep', [...])
     group.  A single-line `for (...) Op(...);` counts as a loop too."""
     seq = []
@@ -303,16 +307,8 @@ def _codec_sequence(fn, ops, is_decode):
         line_ops = []
         for rx, kind in ops:
             for m in rx.finditer(text):
-                if kind == "ver" and not is_decode:
-                    pass
                 if kind == "u8xN":
                     line_ops.append((m.start(), ["u8"] * int(m.group(1))))
-                elif kind == "u8" and "ersion" in text:
-                    # the version byte push_back is matched by the "ver"
-                    # pattern; don't double-count it as a raw byte
-                    if re.search(r"push_back\s*\([^;)]*[Vv]ersion", text):
-                        continue
-                    line_ops.append((m.start(), [kind]))
                 else:
                     line_ops.append((m.start(), [kind]))
         line_ops.sort(key=lambda p: p[0])
@@ -354,8 +350,8 @@ def check_codec_symmetry(model):
             if fm.escape(enc.start_line, "codec-symmetry") or \
                     fm.escape(dec.start_line, "codec-symmetry"):
                 continue
-            eseq = _codec_sequence(enc, _ENC_OPS, is_decode=False)
-            dseq = _codec_sequence(dec, _DEC_OPS, is_decode=True)
+            eseq = _codec_sequence(enc, _ENC_OPS)
+            dseq = _codec_sequence(dec, _DEC_OPS)
             if _normalize(eseq) != _normalize(dseq):
                 out.append(Violation(
                     "codec-symmetry", relpath, dec.start_line,
@@ -563,13 +559,14 @@ def check_wire_version(model, diff_text, guard_files=WIRE_GUARD_FILES,
                 aware = True
     if aware:
         return out
-    # Versioned codec bodies: functions that consume/emit the version byte.
+    # Versioned codec bodies: functions that emit/consume the version byte,
+    # directly or through the frame-header helpers.
     for fn in model.functions:
         if fn.relpath not in touched:
             continue
         body_text = " ".join(t for _, t in fn.body)
         if version_token not in body_text and \
-                "GetBatchVersion" not in body_text:
+                not WIRE_HEADER_CALL_RE.search(body_text):
             continue
         lines, _ = touched[fn.relpath]
         hit = sorted(ln for ln in lines

@@ -1,6 +1,5 @@
-// Fixture: proto-resp-tag must trip — (1) the fixed tag space collides
-// with both the dynamic range and the opcode values, and (2) a request
-// frame retried in a bounded loop carries a fixed kTag* resp_tag, so a
+// Fixture: proto-resp-tag must trip — a request frame retried in a bounded
+// loop carries a constant resp_tag instead of one from AllocRespTag(), so a
 // late reply to the first attempt aliases the retry's reply.
 #include <string>
 
@@ -11,13 +10,9 @@ enum WireOp : int {
   kOpFetch = 2,
 };
 
-enum RespTag : int {
-  kTagStoreAck = 1,    // aliases kOpStore
-  kTagFetchResp = 120,  // inside [kDynamicRespTagBase, inf)
-};
-
 inline constexpr int kOpMax = kOpFetch;
 inline constexpr int kDynamicRespTagBase = 100;
+inline constexpr int kStoreAckTag = 7;
 
 struct Slice {};
 struct Message {
@@ -37,12 +32,12 @@ bool DecodeStore(const Slice& in, int* dbid, int* resp_tag);
 class Node {
  public:
   void StoreWithRetry(int dst) {
-    Slice payload = Encoded(EncodeStore(0, kTagStoreAck));
+    Slice payload = Encoded(EncodeStore(0, kStoreAckTag));
     Message ack;
     bool acked = false;
     for (int attempt = 0; attempt < 3 && !acked; ++attempt) {
       req_comm_.Send(dst, kOpStore, payload);
-      acked = resp_comm_.RecvFor(dst, kTagStoreAck, 1000, &ack);
+      acked = resp_comm_.RecvFor(dst, kStoreAckTag, 1000, &ack);
     }
   }
 

@@ -49,4 +49,21 @@ bool DecodeReq(Slice in, Req* r) {
   return true;
 }
 
+// The frame-header and record-list helpers each count as one field.
+void PutHeader(std::string* out);
+bool GetHeader(Slice* in);
+void PutRecords(std::string* out, const std::vector<Req>& records);
+bool GetRecords(Slice* in, std::vector<Req>* records);
+
+void EncodeBatch(const std::vector<Req>& records, std::string* outp) {
+  std::string out;
+  PutHeader(&out);
+  PutRecords(&out, records);
+  outp->assign(out);
+}
+
+bool DecodeBatch(Slice in, std::vector<Req>* records) {
+  return GetHeader(&in) && GetRecords(&in, records);
+}
+
 }  // namespace fixture

@@ -14,10 +14,6 @@ enum WireOp : int {
 
 inline constexpr int kOpMax = kOpRead;
 
-enum RespTag : int {
-  kTagRestartAck = 10,
-};
-
 inline constexpr int kDynamicRespTagBase = 100;
 
 struct Slice {};

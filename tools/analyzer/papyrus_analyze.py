@@ -212,6 +212,7 @@ INTRA_BAD_CASES = [
     ("bad_guarded_by.h", None, None, {"guarded-by"}),
     ("bad_status_discard.cc", None, None, {"status-discard"}),
     ("bad_codec_asym.cc", None, None, {"codec-symmetry"}),
+    ("bad_codec_records.cc", None, None, {"codec-symmetry"}),
     ("bad_pipeline_block.cc", None, None, {"pipeline-blocking"}),
     ("bad_sampler_lock.cc", None, None, {"pipeline-blocking"}),
     ("wire_fixture.cc", "bad_wire_version.diff", None, {"wire-version"}),

@@ -13,12 +13,9 @@ Rules:
                     without a send site and opcodes that are neither sent
                     nor dispatched (orphans) are flagged; two enumerators
                     sharing a value shadow each other.
-  proto-resp-tag    A request frame's resp_tag reachable from a retry
-                    path must come from AllocRespTag(); fixed kTag*
-                    values are allowed only at the allowlisted
-                    single-file restart sites, and the fixed-tag space
-                    must be statically disjoint from the dynamic range
-                    [kDynamicRespTagBase, inf) and from the opcode space.
+  proto-resp-tag    Every request frame's resp_tag must come from
+                    AllocRespTag(): a fresh tag per request, so a retry's
+                    reply can never alias an earlier attempt's late one.
   proto-deadlock    (a) an unbounded Recv/RecvInternal outside the comm
                     module can wedge a rank forever — the classic MPI
                     wait-cycle edge with no timeout bound; (b) sibling
@@ -37,10 +34,6 @@ import re
 
 import protocol_model
 from checks import Violation
-
-# Files allowed to use fixed kTag* response tags: the restart/
-# redistribution task runs single-file with no retry (DESIGN.md §8).
-FIXED_TAG_ALLOWLIST = ("src/core/checkpoint.cc",)
 
 PROTO_CHECKS = ("proto-handler", "proto-resp-tag", "proto-deadlock",
                 "proto-spec-drift")
@@ -151,73 +144,20 @@ def check_handler_coverage(model, proto):
 # Rule B: resp-tag discipline.
 # ---------------------------------------------------------------------------
 
-def check_resp_tag(model, proto,
-                   fixed_allowlist=FIXED_TAG_ALLOWLIST):
+def check_resp_tag(model, proto):
     out = []
-    # Static tag-space partition (enum level).
-    if proto.resp_tags and proto.dynamic_base is not None:
-        opvals = proto.opcode_values()
-        for name, (value, relpath, line) in sorted(proto.resp_tags.items()):
-            if value is None:
-                continue
-            fm = model.files.get(relpath)
-            if fm is not None and fm.escape(line, "proto-resp-tag"):
-                continue
-            if value >= proto.dynamic_base:
-                out.append(Violation(
-                    "proto-resp-tag", relpath, line,
-                    "range:%s" % name,
-                    "fixed tag %s = %d collides with the dynamic "
-                    "response-tag range [%d, inf) — AllocRespTag() can "
-                    "hand out the same value" % (name, value,
-                                                 proto.dynamic_base)))
-            if value in opvals:
-                out.append(Violation(
-                    "proto-resp-tag", relpath, line,
-                    "op-alias:%s" % name,
-                    "fixed tag %s = %d aliases an opcode value — a "
-                    "response tag numerically equal to an opcode makes "
-                    "misrouted messages undetectable" % (name, value)))
-    if proto.op_max is not None and proto.dynamic_base is not None and \
-            proto.op_max >= proto.dynamic_base and proto.enum_relpath:
-        out.append(Violation(
-            "proto-resp-tag", proto.enum_relpath, 1, "opmax-range",
-            "kOpMax (%d) reaches into the dynamic response-tag range "
-            "(base %d)" % (proto.op_max, proto.dynamic_base)))
-
-    # Call-site discipline.
     for e in proto.encode_calls:
-        fm = _fm(model, e.fn)
-        if fm.escape(e.line, "proto-resp-tag"):
-            continue
         if e.tag_source == "dynamic":
             continue
-        if e.tag_source == "fixed":
-            if e.in_retry:
-                out.append(Violation(
-                    "proto-resp-tag", e.fn.relpath, e.line,
-                    "fixed-retried:%s:%s" % (e.fn.name, e.frame),
-                    "Encode%s in %s uses fixed resp_tag %s on a retried "
-                    "path — a late reply to the first attempt aliases the "
-                    "retry; use AllocRespTag()" %
-                    (e.frame, e.fn.qualname, e.tag_text.strip())))
-            elif e.fn.relpath not in fixed_allowlist:
-                out.append(Violation(
-                    "proto-resp-tag", e.fn.relpath, e.line,
-                    "fixed:%s:%s" % (e.fn.name, e.frame),
-                    "Encode%s in %s uses fixed resp_tag %s outside the "
-                    "allowlisted restart sites (%s) — use AllocRespTag() "
-                    "or escape with why" %
-                    (e.frame, e.fn.qualname, e.tag_text.strip(),
-                     ", ".join(fixed_allowlist))))
-        else:  # unknown
-            out.append(Violation(
-                "proto-resp-tag", e.fn.relpath, e.line,
-                "unknown:%s:%s" % (e.fn.name, e.frame),
-                "Encode%s in %s sources resp_tag from '%s' which the "
-                "analyzer cannot trace to AllocRespTag() — route the tag "
-                "through a local assigned from AllocRespTag(), or escape "
-                "with why" % (e.frame, e.fn.qualname, e.tag_text.strip())))
+        if _fm(model, e.fn).escape(e.line, "proto-resp-tag"):
+            continue
+        out.append(Violation(
+            "proto-resp-tag", e.fn.relpath, e.line,
+            "unknown:%s:%s" % (e.fn.name, e.frame),
+            "Encode%s in %s sources resp_tag from '%s' which the "
+            "analyzer cannot trace to AllocRespTag() — route the tag "
+            "through a local assigned from AllocRespTag(), or escape "
+            "with why" % (e.frame, e.fn.qualname, e.tag_text.strip())))
     return out
 
 
@@ -286,11 +226,8 @@ def check_deadlock(model, proto):
     out = []
     # (a) unbounded receives outside the comm module.
     for r in proto.recvs:
-        if r.bounded or r.name not in ("Recv", "RecvInternal",
-                                       "RecvResponse"):
+        if r.bounded or r.name not in ("Recv", "RecvInternal"):
             continue
-        if r.name == "RecvResponse" and r.fn.name == "RecvResponse":
-            continue  # flagged at the definition's inner Recv instead
         fm = _fm(model, r.fn)
         if fm.escape(r.line, "proto-deadlock"):
             continue

@@ -1,23 +1,24 @@
 """protocol_model — whole-program message-flow model for the wire layer.
 
 Built on top of the cxx_model structural frontend (which deliberately skips
-enum bodies, so the two wire enums are re-parsed here from the sanitized
-code lines).  The model captures everything protocol_checks.py needs:
+enum bodies, so the WireOp enum is re-parsed here from the sanitized code
+lines).  The model captures everything protocol_checks.py needs:
 
-  * the WireOp opcode space and the fixed RespTag space (names, values,
-    declaration sites), plus kOpMax / kDynamicRespTagBase;
+  * the WireOp opcode space (names, values, declaration sites), plus
+    kOpMax / kDynamicRespTagBase;
   * every send site, classified by channel (request / response / signal /
     other) from the receiver communicator name or the runtime helper used
     (SendRequest / SendResponse / RequestReply), with the opcode tokens the
-    call carries and whether the site sits inside a retry loop;
+    call carries (directly, or assigned to the opcode variable it passes)
+    and whether the site sits inside a retry loop;
   * every receive site (Recv / RecvInternal / TryRecv / RecvFor /
-    RecvResponseFor / BarrierFor), with its boundedness;
+    BarrierFor), with its boundedness;
   * the KvRuntime-style handler dispatch switch (switch on a message tag
     with >= 2 opcode case arms), each arm's handler functions and the
     Decode<Frame> frames they consume;
   * every Encode<Frame> call whose codec declaration carries a resp_tag
     parameter, with the tag argument classified as dynamic
-    (AllocRespTag-sourced), fixed (a kTag* enumerator), or unknown;
+    (AllocRespTag-sourced) or unknown;
   * every collective call site (receiver-typed for the generic names), in
     program order per function, for the sibling-branch ordering check;
   * the per-frame wire layout, read from the structured comment block that
@@ -67,7 +68,6 @@ _ALLOC_TAG_RE = re.compile(
     r"([\w.\->\[\]]+)\s*=\s*(?:[\w.\->]*\.|->)?\s*(?:\w+\s*\.\s*|\w+\s*->\s*)?"
     r"AllocRespTag\s*\(")
 _OP_TOKEN_RE = re.compile(r"\bkOp\w+\b")
-_TAG_TOKEN_RE = re.compile(r"\bkTag\w+\b")
 
 
 class SendSite:
@@ -90,13 +90,12 @@ class RecvSite:
 
 
 class EncodeCall:
-    def __init__(self, fn, line, frame, tag_source, tag_text, in_retry):
+    def __init__(self, fn, line, frame, tag_source, tag_text):
         self.fn = fn
         self.line = line
         self.frame = frame          # e.g. "PutBatch"
-        self.tag_source = tag_source  # dynamic | fixed | unknown
+        self.tag_source = tag_source  # dynamic | unknown
         self.tag_text = tag_text
-        self.in_retry = in_retry
 
 
 class HandlerArm:
@@ -110,7 +109,6 @@ class HandlerArm:
 class ProtocolModel:
     def __init__(self):
         self.opcodes = {}       # name -> (value, relpath, line)
-        self.resp_tags = {}     # name -> (value, relpath, line)
         self.op_max = None
         self.dynamic_base = None
         self.enum_relpath = None
@@ -132,23 +130,20 @@ class ProtocolModel:
 # ---------------------------------------------------------------------------
 
 def _parse_enums(fm, proto):
-    names = None
     value = 0
-    in_enum = None
+    in_enum = False
     known = {}
     for idx, text in enumerate(fm.code):
         lineno = idx + 1
-        if in_enum is None:
+        if not in_enum:
             m = _ENUM_RE.search(text)
-            if m and m.group(1) in ("WireOp", "RespTag"):
-                in_enum = m.group(1)
-                names = (proto.opcodes if in_enum == "WireOp"
-                         else proto.resp_tags)
+            if m and m.group(1) == "WireOp":
+                in_enum = True
                 value = 0
                 proto.enum_relpath = fm.relpath
             continue
         if "}" in text:
-            in_enum = None
+            in_enum = False
             continue
         m = _ENUM_ENTRY_RE.match(text)
         if not m:
@@ -160,11 +155,11 @@ def _parse_enums(fm, proto):
                 value = int(expr, 0)
             except ValueError:
                 value = known.get(expr)
-        names[name] = (value, fm.relpath, lineno)
+        proto.opcodes[name] = (value, fm.relpath, lineno)
         known[name] = value
         if value is not None:
             value += 1
-    # Named integer constants the tag-space checks need.
+    # Named integer constants for the spec's tag spaces.
     joined = "\n".join(fm.code)
     for m in _CONSTEXPR_INT_RE.finditer(joined):
         name, expr = m.group(1), m.group(2)
@@ -284,8 +279,7 @@ def _scan_sends_recvs(proto, model):
         for m in re.finditer(
                 r"(?:\b([\w]+)\s*(?:\.|->)\s*)?"
                 r"\b(Send|SendRequest|SendResponse|RequestReply|Recv|"
-                r"RecvInternal|TryRecv|RecvFor|RecvResponseFor|RecvResponse)"
-                r"\s*\(", joined):
+                r"RecvInternal|TryRecv|RecvFor)\s*\(", joined):
             recv_name, call = m.group(1), m.group(2)
             open_idx = m.end() - 1
             bidx = index[min(m.start(2), len(index) - 1)]
@@ -296,7 +290,17 @@ def _scan_sends_recvs(proto, model):
                 channel = _channel_of(call, recv_name)
                 if channel is None:
                     continue
-                ops = sorted(set(_OP_TOKEN_RE.findall(args)))
+                ops = set(_OP_TOKEN_RE.findall(args))
+                parts = _split_args(args)
+                if not ops and len(parts) > 1:
+                    # An opcode variable (`f.op`): take the kOp tokens
+                    # assigned to it anywhere in this function.
+                    var = re.split(r"\.", parts[1].strip())[-1]
+                    if re.match(r"\w+$", var):
+                        for am in re.finditer(
+                                r"\b%s\s*=(?!=)([^;]*);" % var, joined):
+                            ops.update(_OP_TOKEN_RE.findall(am.group(1)))
+                ops = sorted(ops)
                 proto.sends.append(SendSite(
                     fn, line, channel, ops, _in_regions(bidx, regions),
                     call))
@@ -305,7 +309,7 @@ def _scan_sends_recvs(proto, model):
                     proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                                 bounded=True))
             else:
-                bounded = call in ("TryRecv", "RecvFor", "RecvResponseFor")
+                bounded = call in ("TryRecv", "RecvFor")
                 proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                             bounded))
 
@@ -366,7 +370,6 @@ def _scan_encodes(proto, model):
     for fn in model.functions:
         if fn.name.startswith(("Encode", "Decode")):
             continue
-        regions = loop_regions(fn)
         joined, index = _joined_body(fn)
         body_line = {i: ln for i, (ln, _) in enumerate(fn.body)}
         # lvalues assigned from AllocRespTag() anywhere in this function —
@@ -383,24 +386,13 @@ def _scan_encodes(proto, model):
             # resp_tag is the 2nd parameter of every resp-tag codec.
             parts = _split_args(args)
             tag_text = parts[1].strip() if len(parts) > 1 else ""
-            if "AllocRespTag" in tag_text:
-                source = "dynamic"
-            elif _TAG_TOKEN_RE.search(tag_text):
-                source = "fixed"
-            else:
-                idents = re.findall(r"\w+", tag_text)
-                source = ("dynamic"
-                          if any(i in dynamic for i in idents) else "unknown")
+            idents = re.findall(r"\w+", tag_text)
+            source = ("dynamic" if "AllocRespTag" in tag_text or
+                      any(i in dynamic for i in idents) else "unknown")
             bidx = index[min(m.start(), len(index) - 1)]
-            # "Reachable from a retry path": the encode's tag is re-sent by
-            # any retry loop in the same function, or the function sends
-            # inside a loop at all.
-            retried = _in_regions(bidx, regions) or any(
-                s.fn is fn and s.in_retry and s.channel == "request"
-                for s in proto.sends)
             proto.encode_calls.append(EncodeCall(
                 fn, body_line.get(bidx, fn.start_line), frame, source,
-                tag_text, retried))
+                tag_text))
 
 
 def _split_args(args):
@@ -532,11 +524,7 @@ def build_spec(proto):
         "version": 1,
         "opcodes": ops,
         "op_max": proto.op_max,
-        "tag_spaces": {
-            "fixed_resp_tags": {
-                n: v[0] for n, v in sorted(proto.resp_tags.items())},
-            "dynamic_resp_tag_base": proto.dynamic_base,
-        },
+        "dynamic_resp_tag_base": proto.dynamic_base,
         "frames": frames,
         "retry_paths": retry_fns,
         "collectives": collectives,
@@ -566,19 +554,9 @@ def render_markdown(spec):
     w("| space | range |")
     w("|---|---|")
     w("| opcodes | 1 .. %s |" % spec["op_max"])
-    fixed = spec["tag_spaces"]["fixed_resp_tags"]
-    if fixed:
-        w("| fixed response tags | %s .. %s |"
-          % (min(fixed.values()), max(fixed.values())))
-    w("| dynamic response tags | %s .. (AllocRespTag) |"
-      % spec["tag_spaces"]["dynamic_resp_tag_base"])
+    w("| response tags | %s .. (AllocRespTag) |"
+      % spec["dynamic_resp_tag_base"])
     w("")
-    if fixed:
-        w("Fixed response tags (restart-only, single-file paths):")
-        w("")
-        for name, value in sorted(fixed.items(), key=lambda kv: kv[1]):
-            w("- `%s` = %d" % (name, value))
-        w("")
     w("## Opcodes")
     w("")
     for name, info in sorted(spec["opcodes"].items(),
@@ -591,7 +569,7 @@ def render_markdown(spec):
             for s in info["senders"]:
                 w("- `%s`" % s)
         else:
-            w("Senders: none in-tree (legacy / mixed-version only).")
+            w("Senders: none in-tree.")
         w("")
         h = info["handler"]
         if h:

@@ -104,7 +104,7 @@ TSA_ANNOTATION_RE = re.compile(
 
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\s+[\w:]+\s*;")
 
-# Blocking receives.  \b keeps RecvFor/TryRecv/RecvResponse out: the word
+# Blocking receives.  \b keeps RecvFor/TryRecv out: the word
 # boundary only matches when "Recv(" / "RecvInternal(" stands alone.
 NAKED_RECV_RE = re.compile(r"\b(?:Recv|RecvInternal)\s*\(")
 
