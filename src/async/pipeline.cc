@@ -1,6 +1,7 @@
 #include "async/pipeline.h"
 
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "common/env.h"
@@ -97,18 +98,23 @@ AsyncPipeline::AsyncPipeline(core::KvRuntime& rt) : rt_(rt) {
   h_get_op_us_ = &reg.GetHistogram("async.get_op_us");
 }
 
-void AsyncPipeline::RecordOpLatency(const Submission& s) {
-  if (s.kind == Submission::Kind::kRepl) return;  // no per-op waiter
+void AsyncPipeline::RecordOpLatency(Submission::Kind kind, uint64_t start) {
+  if (kind == Submission::Kind::kRepl) return;  // no per-op waiter
   obs::Histogram* h =
-      s.kind == Submission::Kind::kPut ? h_put_op_us_ : h_get_op_us_;
-  h->Record(NowMicros() - s.submitted_at_us);
+      kind == Submission::Kind::kPut ? h_put_op_us_ : h_get_op_us_;
+  // `start` may come from another core's counter; clamp a skewed read.
+  const uint64_t now = obs::TickClock::Now();
+  h->Record(now > start ? obs::TickClock::ToMicros(now - start) : 0);
 }
 
-void AsyncPipeline::Finish(Submission& s, Status st) {
-  if (!st.ok()) c_op_errors_->Inc();
-  RecordOpLatency(s);
+void AsyncPipeline::Finish(Submission& s, Status st, core::GetResp resp) {
+  RecordOpLatency(s.kind, s.submitted_at);
   if (s.handle) {
-    s.handle->Complete(std::move(st));
+    if (s.kind == Submission::Kind::kGet) {
+      s.handle->CompleteResp(std::move(st), std::move(resp));
+    } else {
+      s.handle->Complete(std::move(st));
+    }
   } else if (!st.ok()) {
     MutexLock lock(&mu_);
     failures_.try_emplace(s.dbid, std::move(st));
@@ -175,7 +181,7 @@ OpHandle AsyncPipeline::SubmitPut(int dst, uint32_t dbid, const Slice& key,
   s.key = key.ToString();
   s.value = value.ToString();
   s.tombstone = tombstone;
-  s.submitted_at_us = NowMicros();
+  s.submitted_at = obs::TickClock::Now();
   if (tracked) s.handle = std::make_shared<OpState>();
   OpHandle h = s.handle;
   Enqueue(dst, std::move(s));
@@ -189,7 +195,7 @@ OpHandle AsyncPipeline::SubmitGet(int dst, uint32_t dbid, const Slice& key,
   s.dbid = dbid;
   s.key = key.ToString();
   s.full_search = full_search;
-  s.submitted_at_us = NowMicros();
+  s.submitted_at = obs::TickClock::Now();
   s.handle = std::make_shared<OpState>();
   OpHandle h = s.handle;
   Enqueue(dst, std::move(s));
@@ -212,8 +218,85 @@ void AsyncPipeline::SubmitReplAppend(int dst, uint32_t dbid, uint32_t primary,
   s.repl_seq = seq;
   s.repl_reset = reset;
   s.repl_flushed = flushed_through;
-  s.submitted_at_us = NowMicros();
   Enqueue(dst, std::move(s));
+}
+
+Status AsyncPipeline::SyncPut(int dst, uint32_t dbid, const Slice& key,
+                              const Slice& value, bool tombstone) {
+  const uint64_t start = obs::TickClock::Now();
+  if (!TryClaim(dst)) {
+    return SubmitPut(dst, dbid, key, value, tombstone)->Wait();
+  }
+  Frame f;
+  f.dst = dst;
+  f.kind = Submission::Kind::kPut;
+  f.dbid = dbid;
+  std::vector<KvRecord> records;
+  records.push_back(KvRecord{key.ToString(), value.ToString(), tombstone});
+  EncodeFrame(&f, records, {});
+  Status result;
+  RunClaimed(&f, [&](size_t, Status st, core::GetResp) {
+    RecordOpLatency(f.kind, start);
+    result = std::move(st);
+  });
+  return result;
+}
+
+Status AsyncPipeline::SyncGet(int dst, uint32_t dbid, const Slice& key,
+                              bool full_search, core::GetResp* resp) {
+  const uint64_t start = obs::TickClock::Now();
+  if (!TryClaim(dst)) {
+    OpHandle h = SubmitGet(dst, dbid, key, full_search);
+    Status s = h->Wait();
+    if (s.ok()) *resp = h->TakeResp();
+    return s;
+  }
+  Frame f;
+  f.dst = dst;
+  f.kind = Submission::Kind::kGet;
+  f.dbid = dbid;
+  std::vector<GetMultiOp> gets;
+  gets.push_back(GetMultiOp{key.ToString(), full_search});
+  EncodeFrame(&f, {}, gets);
+  Status result;
+  RunClaimed(&f, [&](size_t, Status st, core::GetResp r) {
+    RecordOpLatency(f.kind, start);
+    result = std::move(st);
+    *resp = std::move(r);
+  });
+  return result;
+}
+
+bool AsyncPipeline::TryClaim(int dst) {
+  // A crashed rank's ops take the submit path, whose cycle fails them
+  // without sending.
+  if (rt_.crashed()) return false;
+  MutexLock lock(&mu_);
+  if (ops_lane_.owned.count(dst) > 0 || ops_lane_.queues.count(dst) > 0) {
+    return false;
+  }
+  ops_lane_.owned.insert(dst);
+  return true;
+}
+
+void AsyncPipeline::Release(int dst) {
+  bool queued_behind = false;
+  {
+    MutexLock lock(&mu_);
+    ops_lane_.owned.erase(dst);
+    queued_behind = ops_lane_.queues.count(dst) > 0;
+  }
+  if (queued_behind) ops_lane_.cv.NotifyOne();
+}
+
+template <typename Done>
+void AsyncPipeline::RunClaimed(Frame* f, Done&& done) {
+  SendFrame(*f);
+  std::string ack;
+  Status s = AwaitFrame(f, &ack);
+  // The ack (or the give-up) ends this destination's one-frame chain.
+  Release(f->dst);
+  CompleteFrame(*f, 1, std::move(s), ack, std::forward<Done>(done));
 }
 
 void AsyncPipeline::Drain() {
@@ -225,6 +308,13 @@ void AsyncPipeline::Drain() {
   }
 }
 
+bool AsyncPipeline::HasUnownedWorkLocked(const Lane& lane) const {
+  for (const auto& [dst, q] : lane.queues) {
+    if (lane.owned.count(dst) == 0) return true;
+  }
+  return false;
+}
+
 void AsyncPipeline::Loop(Lane* lane) {
   rt_.AdoptObservability(lane->name);
   for (;;) {
@@ -232,7 +322,11 @@ void AsyncPipeline::Loop(Lane* lane) {
     size_t count = 0;
     {
       MutexLock lock(&mu_);
-      while (!stop_ && lane->queued == 0) lane->cv.Wait(&mu_);
+      // Queues of caller-claimed destinations wait for the claim's release
+      // (which notifies); at stop, for every queue to flush.
+      while (!HasUnownedWorkLocked(*lane) && !(stop_ && lane->queued == 0)) {
+        lane->cv.Wait(&mu_);
+      }
       if (lane->queued == 0) return;  // stop_ set and nothing left to flush
       // Optional accumulation window: trade latency for larger batches
       // (benchmark knob; 0 = rely on natural batching under load).
@@ -244,19 +338,29 @@ void AsyncPipeline::Loop(Lane* lane) {
           lane->cv.WaitForMicros(&mu_, deadline - now);
         }
       }
-      work.swap(lane->queues);
-      count = lane->queued;
+      for (auto it = lane->queues.begin(); it != lane->queues.end();) {
+        auto next = std::next(it);
+        if (lane->owned.insert(it->first).second) {
+          count += it->second.size();
+          work.insert(lane->queues.extract(it));
+        }
+        it = next;
+      }
       lane->inflight += count;
-      lane->queued = 0;
+      lane->queued -= count;
       g_depth_->Set(
           static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
       g_inflight_->Set(
           static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
     }
+    std::vector<int> dsts;
+    dsts.reserve(work.size());
+    for (const auto& [dst, q] : work) dsts.push_back(dst);
     ProcessCycle(std::move(work));
     {
       MutexLock lock(&mu_);
       lane->inflight -= count;
+      for (int dst : dsts) lane->owned.erase(dst);
       g_inflight_->Set(
           static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
     }
@@ -264,47 +368,114 @@ void AsyncPipeline::Loop(Lane* lane) {
   }
 }
 
+void AsyncPipeline::EncodeFrame(Frame* f, const std::vector<KvRecord>& records,
+                                const std::vector<GetMultiOp>& gets) {
+  using Kind = Submission::Kind;
+  f->tag = rt_.AllocRespTag();
+  // The RPC leg of the whole frame: each op serviced by the remote handler
+  // becomes a flow-linked child of this span, so the merged timeline shows
+  // N coalesced ops sharing one wire round trip.
+  f->rpc = std::make_unique<obs::OpSpan>(
+      "net",
+      f->kind == Kind::kPut   ? "put_batch.rpc"
+      : f->kind == Kind::kGet ? "get_multi.rpc"
+                              : "repl_append.rpc",
+      obs::OpSpan::kDetached);
+  f->rpc->MarkFlowOut();
+  const auto tag = static_cast<uint32_t>(f->tag);
+  if (f->kind == Kind::kPut) {
+    f->op = core::kOpPutBatch;
+    f->name = "put_batch";
+    h_put_batch_->Record(static_cast<uint64_t>(records.size()));
+    f->payload = EncodePutBatch(f->dbid, tag, records, f->rpc->context());
+  } else if (f->kind == Kind::kGet) {
+    f->op = core::kOpGetMulti;
+    f->name = "get_multi";
+    const auto my_group =
+        static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank()));
+    h_get_batch_->Record(static_cast<uint64_t>(gets.size()));
+    f->payload =
+        EncodeGetMulti(f->dbid, tag, my_group, gets, f->rpc->context());
+  } else {
+    f->op = core::kOpReplAppend;
+    f->name = "repl_append";
+    core::ReplAppendMeta meta;
+    meta.primary = f->ops.front().repl_primary;
+    meta.epoch = f->ops.front().repl_epoch;
+    meta.first_seq = f->ops.front().repl_seq;
+    meta.flushed_through = f->ops.back().repl_flushed;
+    meta.reset = f->ops.front().repl_reset;
+    h_repl_batch_->Record(static_cast<uint64_t>(records.size()));
+    f->payload = core::EncodeReplAppend(f->dbid, tag, meta, records,
+                                        f->rpc->context());
+  }
+}
+
+void AsyncPipeline::SendFrame(const Frame& f) {
+  c_frames_->Inc();
+  rt_.flight().Record(obs::FlightKind::kOpBegin, f.name, f.dst,
+                      rt_.retry().max_attempts);
+  rt_.SendRequest(f.dst, f.op, f.payload);
+}
+
+Status AsyncPipeline::AwaitFrame(Frame* f, std::string* ack) {
+  net::Message reply;
+  Status s = rt_.AwaitReply(f->dst, f->op, f->payload, f->tag, &reply);
+  f->rpc.reset();  // close the frame's RPC span at ack (or give-up) time
+  if (!s.ok()) {
+    PLOG_ERROR << f->name << " to rank " << f->dst << ": " << s.ToString();
+    return s;
+  }
+  *ack = std::move(reply.payload);
+  return s;
+}
+
+template <typename Done>
+void AsyncPipeline::CompleteFrame(const Frame& f, size_t n, Status st,
+                                  const std::string& ack, Done&& done) {
+  std::vector<int32_t> statuses;
+  std::vector<GetMultiResult> results;
+  if (st.ok()) {
+    if (f.kind == Submission::Kind::kPut) {
+      if (!core::DecodePutBatchAck(ack, &statuses) || statuses.size() != n) {
+        st = Status::Corrupted("bad put batch ack");
+      }
+    } else if (!core::DecodeGetMultiResp(ack, &results) ||
+               results.size() != n) {
+      st = Status::Corrupted("bad get multi response");
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    Status op_st = st;
+    core::GetResp resp;
+    if (st.ok() && f.kind == Submission::Kind::kPut) {
+      op_st = Status(statuses[i]);
+    } else if (st.ok()) {
+      op_st = Status(results[i].status);
+      resp = std::move(results[i].resp);
+    }
+    if (!op_st.ok()) c_op_errors_->Inc();
+    done(i, std::move(op_st), std::move(resp));
+  }
+}
+
 void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
   using Kind = Submission::Kind;
   if (rt_.crashed()) {
     // A crashed rank emits no traffic (§4.2 failure model); every queued op
-    // still completes so no waiter can hang.
+    // still completes so no waiter can hang.  A repl op has no waiter: the
+    // stream dies with the rank.
     for (auto& [dst, q] : work) {
       for (Submission& s : q) {
-        if (s.kind == Kind::kRepl) {
-          c_op_errors_->Inc();  // no waiter: the stream dies with the rank
-          continue;
+        c_op_errors_->Inc();
+        if (s.kind != Kind::kRepl) {
+          Finish(s, Status(PAPYRUSKV_ERR, "rank crashed (simulated)"));
         }
-        Finish(s, Status(PAPYRUSKV_ERR, "rank crashed (simulated)"));
       }
     }
     return;
   }
 
-  const uint32_t my_group =
-      static_cast<uint32_t>(rt_.layout().GroupOf(rt_.rank()));
-
-  // One encoded wire frame: consecutive same-kind, same-db submissions for
-  // one destination, capped at batch_max_.
-  struct Frame {
-    int dst = 0;
-    Kind kind = Kind::kPut;
-    int op = 0;  // wire opcode
-    const char* name = "";
-    uint32_t dbid = 0;
-    int tag = 0;
-    std::string payload;
-    std::vector<Submission> ops;
-    std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
-  };
-  auto to_records = [](const std::vector<Submission>& subs) {
-    std::vector<KvRecord> records;
-    records.reserve(subs.size());
-    for (const Submission& s : subs) {
-      records.push_back(KvRecord{s.key, s.value, s.tombstone});
-    }
-    return records;
-  };
   // Frames to one destination form an ordered chain, processed below under
   // the SDCB rule: frame N+1 is not put on the wire until frame N is acked.
   std::map<int, std::vector<Frame>> chains;
@@ -333,72 +504,29 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
         f.ops.push_back(std::move(q[i]));
         ++i;
       }
-      f.tag = rt_.AllocRespTag();
-      // The RPC leg of the whole frame: each op serviced by the remote
-      // handler becomes a flow-linked child of this span, so the merged
-      // timeline shows N coalesced ops sharing one wire round trip.
-      f.rpc = std::make_unique<obs::OpSpan>(
-          "net",
-          f.kind == Kind::kPut   ? "put_batch.rpc"
-          : f.kind == Kind::kGet ? "get_multi.rpc"
-                                 : "repl_append.rpc",
-          obs::OpSpan::kDetached);
-      f.rpc->MarkFlowOut();
-      if (f.kind == Kind::kPut) {
-        f.op = core::kOpPutBatch;
-        f.name = "put_batch";
-        h_put_batch_->Record(static_cast<uint64_t>(f.ops.size()));
-        f.payload = EncodePutBatch(f.dbid, static_cast<uint32_t>(f.tag),
-                                   to_records(f.ops), f.rpc->context());
-      } else if (f.kind == Kind::kGet) {
-        f.op = core::kOpGetMulti;
-        f.name = "get_multi";
-        std::vector<GetMultiOp> ops;
-        ops.reserve(f.ops.size());
-        for (const Submission& s : f.ops) {
-          ops.push_back(GetMultiOp{s.key, s.full_search});
+      // The payload is the ops' only remaining use of their keys/values.
+      std::vector<KvRecord> records;
+      std::vector<GetMultiOp> gets;
+      for (Submission& s : f.ops) {
+        if (f.kind == Kind::kGet) {
+          gets.push_back(GetMultiOp{std::move(s.key), s.full_search});
+        } else {
+          records.push_back(
+              KvRecord{std::move(s.key), std::move(s.value), s.tombstone});
         }
-        h_get_batch_->Record(static_cast<uint64_t>(ops.size()));
-        f.payload = EncodeGetMulti(f.dbid, static_cast<uint32_t>(f.tag),
-                                   my_group, ops, f.rpc->context());
-      } else {
-        f.op = core::kOpReplAppend;
-        f.name = "repl_append";
-        core::ReplAppendMeta meta;
-        meta.primary = f.ops.front().repl_primary;
-        meta.epoch = f.ops.front().repl_epoch;
-        meta.first_seq = f.ops.front().repl_seq;
-        meta.flushed_through = f.ops.back().repl_flushed;
-        meta.reset = f.ops.front().repl_reset;
-        h_repl_batch_->Record(static_cast<uint64_t>(f.ops.size()));
-        f.payload = core::EncodeReplAppend(f.dbid,
-                                           static_cast<uint32_t>(f.tag), meta,
-                                           to_records(f.ops),
-                                           f.rpc->context());
       }
+      EncodeFrame(&f, records, gets);
       chains[dst].push_back(std::move(f));
     }
   }
 
-  const fault::RetryPolicy& retry = rt_.retry();
-  auto send_frame = [&](const Frame& f) {
-    c_frames_->Inc();
-    rt_.flight().Record(obs::FlightKind::kOpBegin, f.name, f.dst,
-                        retry.max_attempts);
-    rt_.SendRequest(f.dst, f.op, f.payload);
-  };
-  // Completes every op of a failed frame with one shared status; a failed
-  // replication frame instead fails the follower out of the shard's quorum
-  // accounting (no per-op waiters to complete).
-  auto fail_frame = [&](Frame& f, const Status& s) {
-    if (f.kind == Kind::kRepl) {
-      c_op_errors_->Inc();
-      if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
-        if (repl::Replicator* r = db->replicator()) r->OnAppendFailed(f.dst);
-      }
-      return;
+  // A failed replication frame fails the follower out of the shard's
+  // quorum accounting (no per-op waiters to complete).
+  auto fail_repl = [&](const Frame& f) {
+    c_op_errors_->Inc();
+    if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
+      if (repl::Replicator* r = db->replicator()) r->OnAppendFailed(f.dst);
     }
-    for (Submission& sub : f.ops) Finish(sub, s);
   };
 
   // Only each chain's *head* frame goes on the wire up front: frames to
@@ -409,75 +537,50 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
   // that can be retried is always the newest one sent there, so a retry
   // re-applies at worst its own data — never data an earlier frame
   // committed after it (SDCB survives retries).
-  for (auto& [dst, chain] : chains) send_frame(chain.front());
+  for (auto& [dst, chain] : chains) SendFrame(chain.front());
 
   for (auto& [dst, chain] : chains) {
     bool dst_down = false;  // an earlier frame to dst exhausted its retries
     for (size_t fi = 0; fi < chain.size(); ++fi) {
       Frame& f = chain[fi];
+      Status s;
+      std::string ack;
       if (dst_down) {
         // Never sent: the timed-out frame ahead of this one may still be
         // sitting unapplied in the peer's mailbox, and sending past it
         // could commit data out of submission order.
         f.rpc.reset();
-        fail_frame(f, Status::Timeout(
-                          "rank " + std::to_string(dst) + " unresponsive; " +
-                          f.name + " not sent (earlier frame unacked)"));
-        continue;
-      }
-      net::Message ack;
-      Status s = rt_.AwaitReply(f.dst, f.op, f.payload, f.tag, &ack);
-      f.rpc.reset();  // close the frame's RPC span at ack (or give-up) time
-      if (!s.ok()) {
-        PLOG_ERROR << f.name << " to rank " << f.dst << ": " << s.ToString();
-        fail_frame(f, s);
-        dst_down = true;  // the unsent rest of this chain fails above
-        continue;
-      }
-      // The ack proves the handler applied this frame; the next frame in
-      // this destination's chain may now go on the wire.
-      if (fi + 1 < chain.size()) send_frame(chain[fi + 1]);
-      if (f.kind == Kind::kRepl) {
-        uint64_t epoch = 0;
-        uint64_t acked_seq = 0;
-        bool ok = false;
-        if (!core::DecodeReplAppendAck(ack.payload, &epoch, &acked_seq,
-                                       &ok)) {
-          fail_frame(f, Status::Corrupted("bad repl append ack"));
-          continue;
-        }
-        // Hand the follower's (epoch, seq) progress — or its NACK — to the
-        // shard's replicator; a NACK triggers an inline resync pump, whose
-        // submissions land in the next cycle's queues.
-        if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
-          if (repl::Replicator* r = db->replicator()) {
-            r->OnAppendAck(f.dst, epoch, acked_seq, ok);
-          }
-        }
-        continue;
-      }
-      if (f.kind == Kind::kPut) {
-        std::vector<int32_t> statuses;
-        if (!core::DecodePutBatchAck(ack.payload, &statuses) ||
-            statuses.size() != f.ops.size()) {
-          fail_frame(f, Status::Corrupted("bad put batch ack"));
-          continue;
-        }
-        for (size_t i = 0; i < f.ops.size(); ++i) {
-          Finish(f.ops[i], Status(statuses[i]));
-        }
+        s = Status::Timeout("rank " + std::to_string(dst) +
+                            " unresponsive; " + f.name +
+                            " not sent (earlier frame unacked)");
       } else {
-        std::vector<GetMultiResult> results;
-        if (!core::DecodeGetMultiResp(ack.payload, &results) ||
-            results.size() != f.ops.size()) {
-          fail_frame(f, Status::Corrupted("bad get multi response"));
-          continue;
-        }
-        for (size_t i = 0; i < f.ops.size(); ++i) {
-          if (results[i].status != PAPYRUSKV_SUCCESS) c_op_errors_->Inc();
-          RecordOpLatency(f.ops[i]);
-          f.ops[i].handle->CompleteResp(Status(results[i].status),
-                                        std::move(results[i].resp));
+        s = AwaitFrame(&f, &ack);
+        dst_down = !s.ok();  // the unsent rest of this chain fails above
+        // The ack proves the handler applied this frame; the next frame in
+        // this destination's chain may now go on the wire.
+        if (s.ok() && fi + 1 < chain.size()) SendFrame(chain[fi + 1]);
+      }
+      if (f.kind != Kind::kRepl) {
+        CompleteFrame(f, f.ops.size(), std::move(s), ack,
+                      [&](size_t i, Status st, core::GetResp resp) {
+                        Finish(f.ops[i], std::move(st), std::move(resp));
+                      });
+        continue;
+      }
+      uint64_t epoch = 0;
+      uint64_t acked_seq = 0;
+      bool ok = false;
+      if (!s.ok() ||
+          !core::DecodeReplAppendAck(ack, &epoch, &acked_seq, &ok)) {
+        fail_repl(f);
+        continue;
+      }
+      // Hand the follower's (epoch, seq) progress — or its NACK — to the
+      // shard's replicator; a NACK triggers an inline resync pump, whose
+      // submissions land in the next cycle's queues.
+      if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
+        if (repl::Replicator* r = db->replicator()) {
+          r->OnAppendAck(f.dst, epoch, acked_seq, ok);
         }
       }
     }

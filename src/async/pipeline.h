@@ -2,14 +2,17 @@
 // (DESIGN.md §9).
 //
 // KVell-style shared-nothing queues layered between the public API and the
-// wire: the application (or DbShard's synchronous paths, reimplemented as
-// submit+wait) enqueues operations per destination rank; a pipeline worker
-// drains the queues, coalescing consecutive same-kind operations for one
-// destination into a single `put_batch` / `get_multi` frame, so N remote
-// operations share one wire round trip instead of N.  Replication-stream
-// appends run on their own lane (second worker thread) — see the Lane
-// comment below for why sharing the ops lane would deadlock under the
-// quorum commit rule.
+// wire: the application enqueues operations per destination rank; a
+// pipeline worker drains the queues, coalescing consecutive same-kind
+// operations for one destination into a single `put_batch` / `get_multi`
+// frame, so N remote operations share one wire round trip instead of N.
+// DbShard's synchronous remote put/get (SyncPut/SyncGet) skip the worker
+// when their destination is idle: the calling thread claims the
+// destination and sends and awaits a one-op frame itself — one round trip,
+// no thread handoff — and falls back to submit+wait otherwise, so under
+// load they still coalesce.  Replication-stream appends run on their own
+// lane (second worker thread) — see the Lane comment below for why sharing
+// the ops lane would deadlock under the quorum commit rule.
 // While one cycle's frames are in flight, new submissions accumulate — the
 // pipeline batches *naturally* under load, no timer required (an optional
 // PAPYRUSKV_BATCH_WINDOW_US accumulation window exists for benchmarking).
@@ -23,7 +26,10 @@
 // same destination already committed: per-key ordering within a
 // destination queue is exactly submission order, even across retries.
 // Frames never mix op kinds or databases; a kind/db change breaks the
-// frame.
+// frame.  A destination has at most one sender at a time — the ops lane's
+// current cycle or one caller thread — and a caller may claim it only
+// while it has no queued submission and no frame in flight, so a sync op
+// never overtakes an earlier put_async to the same owner.
 //
 // Failure semantics: retry/timeout is per *frame*, on the runtime's one
 // retry ladder (KvRuntime::AwaitReply; re-sending the chain's in-flight
@@ -41,6 +47,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +61,10 @@
 namespace papyrus::core {
 class KvRuntime;
 }  // namespace papyrus::core
+
+namespace papyrus::obs {
+class OpSpan;
+}  // namespace papyrus::obs
 
 namespace papyrus::async {
 
@@ -119,6 +130,15 @@ class AsyncPipeline {
   OpHandle SubmitGet(int dst, uint32_t dbid, const Slice& key,
                      bool full_search);
 
+  // Synchronous SubmitPut/SubmitGet + Wait.  When `dst` is idle the op runs
+  // on the calling thread: one one-op frame, sent and awaited on the
+  // runtime's retry ladder, completed into the caller's stack.  A get's
+  // response lands in *resp (valid when the returned status is OK).
+  Status SyncPut(int dst, uint32_t dbid, const Slice& key, const Slice& value,
+                 bool tombstone);
+  Status SyncGet(int dst, uint32_t dbid, const Slice& key, bool full_search,
+                 core::GetResp* resp);
+
   // Enqueue one replication-stream append for follower `dst` (DESIGN.md
   // §12).  Fire-and-forget at the submission layer — there is no OpHandle;
   // the frame's ack (or give-up) is delivered to the shard's Replicator as
@@ -152,8 +172,25 @@ class AsyncPipeline {
     uint64_t repl_seq = 0;
     uint64_t repl_flushed = 0;
     bool repl_reset = false;
-    uint64_t submitted_at_us = 0;  // stamped at Submit* for op latency
+    uint64_t submitted_at = 0;  // obs::TickClock ticks at Submit*
     OpHandle handle;  // null for kRepl and untracked puts (no waiter)
+  };
+
+  // One encoded wire frame: consecutive same-kind, same-db ops for one
+  // destination, capped at batch_max_.
+  struct Frame {
+    int dst = 0;
+    Submission::Kind kind = Submission::Kind::kPut;
+    uint32_t dbid = 0;
+    int op = 0;  // wire opcode
+    const char* name = "";
+    int tag = 0;
+    std::string payload;
+    // The ops of a pipeline frame, in submission order (their keys and
+    // values are moved into the payload).  Empty for a caller-thread frame,
+    // whose one op completes into the caller's stack.
+    std::vector<Submission> ops;
+    std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
   };
 
   // One worker lane: its own thread, per-destination queues and in-flight
@@ -178,21 +215,58 @@ class AsyncPipeline {
     uint64_t window_us = 0;
     std::thread thread;
     CondVar cv;  // submissions / stop
+    // Never holds an empty queue: a destination with nothing queued has no
+    // entry (TryClaim relies on it).
     std::map<int, std::deque<Submission>> queues;
+    // Destinations with a sender: the current cycle's, plus (ops lane only)
+    // those claimed by a caller thread.  Loop swaps out only the queues of
+    // destinations not in here.
+    std::set<int> owned;
     size_t queued = 0;
     size_t inflight = 0;
   };
 
   void Loop(Lane* lane);
+  bool HasUnownedWorkLocked(const Lane& lane) const REQUIRES(mu_);
   // Builds, sends, and collects acks for one swap of a lane's queues.
   void ProcessCycle(std::map<int, std::deque<Submission>> work);
   void Enqueue(int dst, Submission s);  // routes on s.kind
-  // Records submit→completion latency (async.put_op_us / async.get_op_us);
-  // call immediately before completing the handle.
-  void RecordOpLatency(const Submission& s);
-  // Completes a put (or a failed get) with `st`: its handle, or for an
+
+  // Claims ops-lane destination `dst` for the calling thread; fails if it
+  // has a queued submission or a frame in flight, or the rank crashed (the
+  // cycle then fails the op unsent).  Release notifies the lane of
+  // submissions that queued behind the claim.
+  bool TryClaim(int dst);
+  void Release(int dst);
+  // Sends a claimed destination's one-op frame f from the calling thread,
+  // awaits its ack, releases the claim and completes the op through
+  // done(0, status, resp).
+  template <typename Done>
+  void RunClaimed(Frame* f, Done&& done);
+
+  // The frame machinery shared by ProcessCycle and the caller path.
+  // EncodeFrame allocates f's reply tag, opens its RPC span and encodes its
+  // payload from `records` (kPut/kRepl) or `gets` (kGet); a kRepl frame
+  // takes its stream coordinates from f->ops.
+  void EncodeFrame(Frame* f, const std::vector<core::KvRecord>& records,
+                   const std::vector<core::GetMultiOp>& gets);
+  void SendFrame(const Frame& f);
+  // Awaits f's ack on the runtime's retry ladder and closes its RPC span.
+  Status AwaitFrame(Frame* f, std::string* ack);
+  // Completes a put/get frame's n ops from its await status and ack: a
+  // failed await or a malformed ack fails every op with one status,
+  // otherwise each op gets its own status (and, for a get, its response).
+  // done(i, status, resp) delivers op i; op errors are counted here.
+  template <typename Done>
+  void CompleteFrame(const Frame& f, size_t n, Status st,
+                     const std::string& ack, Done&& done);
+
+  // Records op latency since `start` ticks into async.put_op_us /
+  // async.get_op_us; call immediately before completing the op.
+  void RecordOpLatency(Submission::Kind kind, uint64_t start);
+  // Completes a submission: its handle (a get's with `resp`), or for an
   // untracked put the db's first-failure slot.
-  void Finish(Submission& s, Status st);
+  void Finish(Submission& s, Status st, core::GetResp resp = {});
 
   core::KvRuntime& rt_;
   size_t batch_max_ = 256;
@@ -216,9 +290,10 @@ class AsyncPipeline {
   obs::Histogram* h_repl_batch_;   // async.repl_batch_size
   obs::Counter* c_op_errors_;      // async.op_errors
   obs::Counter* c_frames_;         // async.frames
-  // True per-op latency, submit → completion (the batched ack landing).
-  // The kv.put_us/get_us histograms cover the synchronous submit+wait
-  // path; the async entry points record only kv.*_submit_us at enqueue.
+  // True per-op latency of every remote put/get, entry → completion (the
+  // ack landing), on the pipeline and the caller path alike.  The
+  // kv.put_us/get_us histograms cover the whole synchronous call; the async
+  // entry points record only kv.*_submit_us at enqueue.
   obs::Histogram* h_put_op_us_;    // async.put_op_us
   obs::Histogram* h_get_op_us_;    // async.get_op_us
 };

@@ -398,13 +398,12 @@ void DbShard::RotateRemoteLocked() {
 Status DbShard::SyncRemotePut(const Slice& key, const Slice& value,
                               bool tombstone, int owner) {
   // §3.1 sequential mode: the pair is migrated to the owner immediately and
-  // synchronously.  Submit+wait through the async pipeline (DESIGN.md §9),
-  // so the sync and async paths share one batching/retry/timeout machine —
-  // a dead owner still surfaces as PAPYRUSKV_ERR_TIMEOUT, delivered via the
-  // completion handle.
+  // synchronously, on the caller's thread when the owner is idle (DESIGN.md
+  // §9).  The sync and async paths share one frame/retry/timeout machine —
+  // a dead owner still surfaces as PAPYRUSKV_ERR_TIMEOUT.
   m_.puts_remote_sync->Inc();
   cache_remote_.Erase(key);
-  return rt_.pipeline().SubmitPut(owner, id_, key, value, tombstone)->Wait();
+  return rt_.pipeline().SyncPut(owner, id_, key, value, tombstone);
 }
 
 // ---------------------------------------------------------------------------
@@ -578,15 +577,16 @@ Status DbShard::RemoteGet(const Slice& key, std::string* value) {
   if (SearchRemoteMemory(key, value, &tombstone)) {
     return tombstone ? Status::NotFound() : Status::OK();
   }
-  // Network leg through the pipeline (coalesced with any other outstanding
-  // gets for the same owner into one get_multi round trip).  Routed through
+  // Network leg: one round trip from this thread when the owner is idle,
+  // else through the pipeline (coalesced with any other outstanding gets
+  // for the same owner into one get_multi round trip).  Routed through
   // failover promotion: deterministic here and in FinishRemoteGet because
   // the promoted-owner cache pins the election result.
-  async::OpHandle h = rt_.pipeline().SubmitGet(RouteOwner(OwnerOf(key)), id_,
-                                               key, /*full_search=*/false);
-  Status s = h->Wait();
+  GetResp resp;
+  Status s = rt_.pipeline().SyncGet(RouteOwner(OwnerOf(key)), id_, key,
+                                    /*full_search=*/false, &resp);
   if (!s.ok()) return s;  // PAPYRUSKV_ERR_TIMEOUT: owner unresponsive
-  return FinishRemoteGet(key, h->TakeResp(), value);
+  return FinishRemoteGet(key, std::move(resp), value);
 }
 
 Status DbShard::FinishRemoteGet(const Slice& key, GetResp resp,
@@ -623,11 +623,10 @@ Status DbShard::FinishRemoteGet(const Slice& key, GetResp resp,
     // The owner may have compacted the advertised tables away between its
     // response and our shared read; fall back to a full search at the
     // owner to keep the result authoritative.
-    async::OpHandle h2 =
-        rt_.pipeline().SubmitGet(owner, id_, key, /*full_search=*/true);
-    Status rs = h2->Wait();
+    GetResp r2;
+    Status rs = rt_.pipeline().SyncGet(owner, id_, key, /*full_search=*/true,
+                                       &r2);
     if (!rs.ok()) return rs;
-    GetResp r2 = h2->TakeResp();
     if (r2.found && !r2.tombstone) {
       m_.remote_value_transfers->Inc();
       cache_remote_.Put(key, r2.value, false);

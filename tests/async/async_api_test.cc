@@ -5,7 +5,9 @@
 // surfacing out of a partially failed batch (batch.op.fail failpoint).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/db_shard.h"
@@ -210,6 +212,104 @@ TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {
   });
   unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
   unsetenv("PAPYRUSKV_TIMEOUT_MS");
+}
+
+TEST_F(AsyncApiTest, SyncGetNeverOvertakesQueuedAsyncPut) {
+  // A sync op runs on the caller's thread only while its destination has
+  // nothing queued.  Here a fire-and-forget put sits in the batching
+  // window, so the sync get must queue behind it and observe its value.
+  setenv("PAPYRUSKV_BATCH_WINDOW_US", "20000", 1);
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("overtakedb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      const std::string k = KeysOwnedBy(shard, 1, 1)[0];
+      ASSERT_EQ(PutStr(db, k, "v1"), PAPYRUSKV_SUCCESS);  // owner idle
+      ASSERT_EQ(PutAsyncStr(db, k, "v2", nullptr), PAPYRUSKV_SUCCESS);
+      std::string out;
+      ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(out, "v2");
+      EXPECT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+  unsetenv("PAPYRUSKV_BATCH_WINDOW_US");
+}
+
+TEST_F(AsyncApiTest, SyncCallersAndPipelineShareDestinations) {
+  // Two sync read-your-writes loops and a put_async + fence loop on rank 0
+  // all target rank 1 at once, so caller-thread claims, their fallbacks
+  // and pipeline cycles interleave on one destination.
+  const int kRounds = 1000;
+  const size_t kKeysPerThread = 8;
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("sharedb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      core::KvRuntime* rt = core::KvRuntime::Current();
+      const auto keys = KeysOwnedBy(shard, 1, 3 * kKeysPerThread);
+      std::atomic<int> stale{0};
+      std::atomic<int> errors{0};
+      auto sync_loop = [&](size_t first) {
+        rt->AdoptObservability();
+        for (int r = 0; r < kRounds; ++r) {
+          const std::string& k = keys[first + r % kKeysPerThread];
+          const std::string v = "s" + std::to_string(first) + ":" +
+                                std::to_string(r);
+          if (!shard->Put(k, v).ok()) ++errors;
+          std::string out;
+          if (!shard->Get(k, &out).ok()) {
+            ++errors;
+          } else if (out != v) {
+            ++stale;
+          }
+        }
+      };
+      const int windows = kRounds / 10;
+      auto async_loop = [&] {
+        rt->AdoptObservability();
+        for (int w = 0; w < windows; ++w) {
+          for (size_t i = 2 * kKeysPerThread; i < keys.size(); ++i) {
+            const async::OpHandle h = shard->PutAsync(
+                keys[i], "a" + std::to_string(w), /*tombstone=*/false,
+                /*tracked=*/false);
+            EXPECT_EQ(h, nullptr);
+          }
+          if (!shard->Fence().ok()) ++errors;
+        }
+      };
+      std::thread a(sync_loop, 0);
+      std::thread b(sync_loop, kKeysPerThread);
+      std::thread c(async_loop);
+      a.join();
+      b.join();
+      c.join();
+      EXPECT_EQ(errors.load(), 0);
+      EXPECT_EQ(stale.load(), 0);
+      for (size_t i = 2 * kKeysPerThread; i < keys.size(); ++i) {
+        std::string out;
+        ASSERT_EQ(GetStr(db, keys[i], &out), PAPYRUSKV_SUCCESS);
+        EXPECT_EQ(out, "a" + std::to_string(windows - 1));
+      }
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
 }
 
 TEST_F(AsyncApiTest, FenceRetiresCompletedPutEventsButNotGets) {

@@ -269,6 +269,15 @@ def _channel_of(name, recv):
     return None
 
 
+def _assigned_ops(var, bodies):
+    """kOp tokens assigned to `var` (`x.var = ...` too) in any of bodies."""
+    ops = set()
+    for body in bodies:
+        for am in re.finditer(r"\b%s\s*=(?!=)([^;]*);" % var, body):
+            ops.update(_OP_TOKEN_RE.findall(am.group(1)))
+    return ops
+
+
 def _scan_sends_recvs(proto, model):
     for fn in model.functions:
         if fn.relpath in COMM_MODULE_FILES:
@@ -294,12 +303,17 @@ def _scan_sends_recvs(proto, model):
                 parts = _split_args(args)
                 if not ops and len(parts) > 1:
                     # An opcode variable (`f.op`): take the kOp tokens
-                    # assigned to it anywhere in this function.
-                    var = re.split(r"\.", parts[1].strip())[-1]
+                    # assigned to it anywhere in this function, else
+                    # anywhere in this file (a frame encoded by one helper
+                    # and sent by another).
+                    var = re.split(r"\.|->", parts[1].strip())[-1]
                     if re.match(r"\w+$", var):
-                        for am in re.finditer(
-                                r"\b%s\s*=(?!=)([^;]*);" % var, joined):
-                            ops.update(_OP_TOKEN_RE.findall(am.group(1)))
+                        ops.update(_assigned_ops(var, [joined]))
+                        if not ops:
+                            ops.update(_assigned_ops(var, [
+                                _joined_body(other)[0]
+                                for other in model.functions
+                                if other.relpath == fn.relpath]))
                 ops = sorted(ops)
                 proto.sends.append(SendSite(
                     fn, line, channel, ops, _in_regions(bidx, regions),
