@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/db_shard.h"
+#include "core/runtime.h"
 
 using namespace papyrus;
 using namespace papyrus::bench;
@@ -77,10 +77,11 @@ HashResult RunHash(const Flags& flags, bool custom, int iters) {
              }
              get_t = GatherStats(ctx.comm, sw.ElapsedSeconds());
              if (ctx.rank == 0) {
-               const auto stats =
-                   papyrus::core::DbHandle(db)->StatsSnapshot();
-               out.gets_local = stats.gets_local;
-               out.gets_remote = stats.gets_remote;
+               obs::Registry& reg =
+                   papyrus::core::KvRuntime::Current()->metrics();
+               out.gets_local = reg.GetCounter("db.hash.gets_local").Value();
+               out.gets_remote =
+                   reg.GetCounter("db.hash.gets_remote").Value();
              }
              BenchCheck(papyruskv_close(db), "papyruskv_close");
            });

@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "core/db_shard.h"
+#include "core/runtime.h"
 
 using namespace papyrus;
 using namespace papyrus::bench;
@@ -31,7 +32,7 @@ void RunConfig(const Flags& flags, const Config& cfg, size_t vallen,
                int iters, Table* table) {
   const std::string repo = "nvme:" + flags.repo + "/abl_lsm";
   RankStats get_t;
-  core::DbStats stats{};
+  uint64_t bloom_negatives = 0, cache_hits = 0, sstable_hits = 0;
   size_t tables = 0;
   RunKvJob(flags.ranks, flags.ranks, repo, [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
@@ -66,9 +67,11 @@ void RunConfig(const Flags& flags, const Config& cfg, size_t vallen,
     }
     get_t = GatherStats(ctx.comm, sw.ElapsedSeconds());
     if (ctx.rank == 0) {
-      auto shard = core::DbHandle(db);
-      stats = shard->StatsSnapshot();
-      tables = shard->manifest().TableCount();
+      obs::Registry& reg = core::KvRuntime::Current()->metrics();
+      bloom_negatives = reg.GetCounter("db.abl.bloom_negatives").Value();
+      cache_hits = reg.GetCounter("db.abl.cache_local.hits").Value();
+      sstable_hits = reg.GetCounter("db.abl.sstable_hits").Value();
+      tables = core::DbHandle(db)->manifest().TableCount();
     }
     BenchCheck(papyruskv_close(db), "papyruskv_close");
   });
@@ -76,9 +79,8 @@ void RunConfig(const Flags& flags, const Config& cfg, size_t vallen,
   const uint64_t total_ops = static_cast<uint64_t>(iters) * 2 *
                              static_cast<uint64_t>(flags.ranks);
   table->AddRow({cfg.label, Table::Num(Krps(total_ops, get_t.max), 2),
-                 std::to_string(tables), std::to_string(stats.bloom_negatives),
-                 std::to_string(stats.cache_local_hits),
-                 std::to_string(stats.sstable_hits)});
+                 std::to_string(tables), std::to_string(bloom_negatives),
+                 std::to_string(cache_hits), std::to_string(sstable_hits)});
 }
 
 }  // namespace

@@ -10,13 +10,15 @@
 // not a collapse.
 //
 // Instead of hand-rolled stopwatch windows, the bench runs with
-// PAPYRUSKV_TIMELINE_MS=20 and derives everything from the sampler: each
+// PAPYRUSKV_OBS=<repo>/obs,20 and derives everything from the sampler: each
 // rank allgathers its timeline-v1 JSON, rank 0 merges the series onto the
 // shared steady clock (the same path papyrus_inspect --timeline takes) and
 // reads before/dip/after off the merged per-window put-rate series.  The
 // merged series lands in BENCH_repl_failover.json as bench.tl.w* gauges
 // next to the before/dip/after aggregate, so the whole failover shape is
-// part of the committed results trajectory.
+// part of the committed results trajectory.  The run's per-rank dumps
+// (timeline, flight, stats, trace) stay in <repo>/obs for
+// `papyrus_inspect --timeline <repo>/obs`.
 //
 //   repl_failover [--ranks=N] [--iters=N(puts/rank/window)] [--vallen=N]
 //                 [--repo=PATH]
@@ -93,11 +95,12 @@ int main(int argc, char** argv) {
   setenv("PAPYRUSKV_RETRY_MAX", "2", 0);
   // The sampler IS the measurement: 20ms windows resolve a dip whose
   // floor is one 50ms timeout ladder.
-  setenv("PAPYRUSKV_TIMELINE_MS", "20", 1);
+  const std::string obs_dir = flags.repo + "/obs";
+  setenv("PAPYRUSKV_OBS", (obs_dir + ",20").c_str(), 1);
 
   printf("repl_failover: %d ranks (k=2), %d windows x %d puts/rank, "
-         "rank %d dies after window %d, 20ms sampler\n",
-         flags.ranks, kWindows, iters, victim, kCrashAfter);
+         "rank %d dies after window %d, 20ms sampler -> %s\n",
+         flags.ranks, kWindows, iters, victim, kCrashAfter, obs_dir.c_str());
 
   std::string rendered;  // rank 0's merged-lane tables, printed post-job
   RunKvJob(flags.ranks, /*ranks_per_node=*/flags.ranks, repo,

@@ -16,12 +16,11 @@
 #                  (message delay + duplication) — every suite must still
 #                  pass with the recovery paths doing real work; a red run
 #                  prints the PAPYRUSKV_FAULT_SEED to reproduce it with.
-#                  Both ctest stages run with PAPYRUSKV_FLIGHT set and the
-#                  timeline sampler on (PAPYRUSKV_TIMELINE_MS=50, dumps
-#                  next to the flight files), and a failure archives the
-#                  flight-recorder post-mortems AND timeline series as
-#                  build/flight_<stage>.tar.gz (next to
-#                  build/analyze_findings.json)
+#                  Both ctest stages run with the one observability switch
+#                  on (PAPYRUSKV_OBS=build/flight/<stage>,50: stats, trace,
+#                  50ms timeline sampler, flight dumps), and a failure
+#                  archives that directory as build/flight_<stage>.tar.gz
+#                  (next to build/analyze_findings.json)
 #   5. tsa         Clang build with -Werror=thread-safety
 #                  (skipped with a notice if clang++ is not installed)
 #   6. clang-tidy  concurrency/bugprone checks (skipped if not installed)
@@ -33,10 +32,11 @@
 #                  smoke runs with the metrics hook:
 #                  each writes an aggregate BENCH_<name>.json snapshot at
 #                  the repo root (committed, so metric drift shows in
-#                  review); micro_kv runs once with the timeline sampler
-#                  on (overhead bound: E12c) and once traced (E12b, the
-#                  committed snapshot); repl_failover runs 4 ranks with
-#                  the sampler as its measurement and the merged series is
+#                  review); micro_kv runs with PAPYRUSKV_OBS=<dir>,20
+#                  (stats + trace + sampler, overhead bound: E14);
+#                  repl_failover runs 4 ranks with the sampler as its
+#                  measurement under a 180s timeout (a hang archives its
+#                  obs dir and fails the stage) and the merged series is
 #                  re-rendered through papyrus_inspect --timeline, so the
 #                  whole observe-merge-render path gates CI
 #
@@ -60,14 +60,15 @@ FAULT_SEED="${PAPYRUSKV_FAULT_SEED:-1234}"
 SKIPPED=()
 
 # Flight-recorder post-mortems (obs/flight.h): the ctest stages run with
-# PAPYRUSKV_FLIGHT pointed here so any rank that times out or crashes
-# leaves a dump; on a red stage the dumps are archived next to
-# build/analyze_findings.json for the same tooling to pick up.
+# PAPYRUSKV_OBS pointed under here so any rank that times out or crashes
+# leaves a dump; on a red stage the dumps (plus timeline series) are
+# archived next to build/analyze_findings.json for the same tooling to
+# pick up.  `archive_flight <tag> [dir]` archives dir (default FLIGHT_DIR).
 FLIGHT_DIR="build/flight"
 archive_flight() {
-  local tag="$1"
-  if compgen -G "${FLIGHT_DIR}/*" >/dev/null; then
-    tar -czf "build/flight_${tag}.tar.gz" -C "${FLIGHT_DIR}" .
+  local tag="$1" dir="${2:-${FLIGHT_DIR}}"
+  if compgen -G "${dir}/*" >/dev/null; then
+    tar -czf "build/flight_${tag}.tar.gz" -C "${dir}" .
     echo "ci.sh: flight-recorder dumps archived -> build/flight_${tag}.tar.gz"
   else
     echo "ci.sh: no flight-recorder dumps were produced"
@@ -110,9 +111,7 @@ stage build-test "[3/8] build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
-if ! PAPYRUSKV_FLIGHT="${FLIGHT_DIR}/ctest" \
-    PAPYRUSKV_TIMELINE_MS=50 \
-    PAPYRUSKV_TIMELINE="${FLIGHT_DIR}/timeline.json" \
+if ! PAPYRUSKV_OBS="${FLIGHT_DIR}/ctest,50" \
     ctest --test-dir build --output-on-failure -j "${JOBS}"; then
   archive_flight build-test
   exit 1
@@ -121,9 +120,7 @@ fi
 stage fault "[4/8] fault matrix (PAPYRUSKV_FAULTS=${FAULT_PROFILE})"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
 if ! PAPYRUSKV_FAULTS="${FAULT_PROFILE}" PAPYRUSKV_FAULT_SEED="${FAULT_SEED}" \
-    PAPYRUSKV_FLIGHT="${FLIGHT_DIR}/fault" \
-    PAPYRUSKV_TIMELINE_MS=50 \
-    PAPYRUSKV_TIMELINE="${FLIGHT_DIR}/timeline.json" \
+    PAPYRUSKV_OBS="${FLIGHT_DIR}/fault,50" \
     ctest --test-dir build --output-on-failure -j "${JOBS}"; then
   echo "ci.sh: fault matrix FAILED under seed ${FAULT_SEED} — reproduce with:"
   echo "  PAPYRUSKV_FAULTS=${FAULT_PROFILE} PAPYRUSKV_FAULT_SEED=${FAULT_SEED} \\"
@@ -169,15 +166,10 @@ done
 stage bench "[8/8] bench snapshots (BENCH_*.json)"
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "${BENCH_TMP}"' EXIT
-# Sampler-on micro_kv: the fast path with the 20ms timeline tick live —
-# the E12c overhead guard's configuration (bound: <5%, EXPERIMENTS.md).
-# Runs before the traced pass so the committed snapshot stays the traced
-# one (last WriteBenchMetrics wins).
-PAPYRUSKV_TIMELINE_MS=20 PAPYRUSKV_TIMELINE="${BENCH_TMP}/mkv_tl.json" \
-  ./build/bench/micro_kv --ranks=2 --iters=20000 \
-  --repo="${BENCH_TMP}/mkv_tl"
-# Traced micro_kv: the hot path plus the causal-tracing layer end-to-end.
-PAPYRUSKV_TRACE="${BENCH_TMP}/trace.json" \
+# micro_kv with every observability channel on (stats, causal trace, 20ms
+# timeline sampler) — the E14 overhead guard's configuration (bound: <5%,
+# EXPERIMENTS.md).
+PAPYRUSKV_OBS="${BENCH_TMP}/mkv_obs,20" \
   ./build/bench/micro_kv --ranks=2 --iters=20000 --repo="${BENCH_TMP}/mkv"
 # Scaled-down fig06: the flush/get path across every storage model.
 ./build/bench/fig06_basic --ranks=2 --iters=4 --scale=0 \
@@ -189,18 +181,23 @@ PAPYRUSKV_TRACE="${BENCH_TMP}/trace.json" \
   --repo="${BENCH_TMP}/mka"
 # Replication failover at 4 ranks, measured by the timeline sampler
 # (DESIGN.md §12+§13); the snapshot carries before/dip/after KRPS plus
-# the merged per-window series (bench.tl.*).  The per-rank dumps are then
-# merged and rendered through papyrus_inspect --timeline so the full
-# observe-merge-render path gates CI.  PAPYRUSKV_TIMEOUT_MS=250: on this
-# single-core builder the promoted rank serves two partitions and the
-# default 50ms ladder sits below its loaded service time (retry livelock).
-PAPYRUSKV_TIMEOUT_MS=250 \
-  PAPYRUSKV_TIMELINE="${BENCH_TMP}/rfo_tl.json" \
-  PAPYRUSKV_FLIGHT="${BENCH_TMP}/rfo_flight.json" \
-  ./build/bench/repl_failover --ranks=4 --iters=200 \
-  --repo="${BENCH_TMP}/rfo"
-./build/tools/papyrus_inspect --timeline "${BENCH_TMP}/rfo_tl.json" \
-  --flight="${BENCH_TMP}/rfo_flight.json" > "${BENCH_TMP}/rfo_merged.txt"
+# the merged per-window series (bench.tl.*).  The bench writes its own
+# obs dir (<repo>/obs), whose per-rank dumps are then merged and rendered
+# through papyrus_inspect --timeline so the full observe-merge-render path
+# gates CI.  PAPYRUSKV_TIMEOUT_MS=250: on a single-core builder the
+# promoted rank serves two partitions and the default 50ms ladder sits
+# below its loaded service time (retry livelock).  The run can stall
+# after the promotion (ROADMAP item 1); the timeout turns that stall into
+# a red stage with the obs dir archived, instead of a hung job.
+if ! PAPYRUSKV_TIMEOUT_MS=250 timeout 180 \
+    ./build/bench/repl_failover --ranks=4 --iters=200 \
+    --repo="${BENCH_TMP}/rfo"; then
+  echo "ci.sh: repl_failover failed or hit its 180s timeout"
+  archive_flight bench "${BENCH_TMP}/rfo/obs"
+  exit 1
+fi
+./build/tools/papyrus_inspect --timeline "${BENCH_TMP}/rfo/obs" \
+  > "${BENCH_TMP}/rfo_merged.txt"
 head -12 "${BENCH_TMP}/rfo_merged.txt"
 grep -q "crash" "${BENCH_TMP}/rfo_merged.txt"  # overlay reached the render
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \

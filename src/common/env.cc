@@ -25,17 +25,4 @@ std::optional<bool> EnvBool(const char* name) {
   return *v != 0;
 }
 
-EnvConfig EnvConfig::Load() {
-  EnvConfig c;
-  c.repository = EnvString("PAPYRUSKV_REPOSITORY").value_or("");
-  c.group_size = EnvInt("PAPYRUSKV_GROUP_SIZE");
-  c.consistency = EnvInt("PAPYRUSKV_CONSISTENCY");
-  c.bin_search = EnvInt("PAPYRUSKV_BIN_SEARCH");
-  c.cache_remote = EnvBool("PAPYRUSKV_CACHE_REMOTE");
-  c.force_redistribute = EnvBool("PAPYRUSKV_FORCE_REDISTRIBUTE");
-  c.memtable_bytes = EnvInt("PAPYRUSKV_MEMTABLE_SIZE");
-  c.lustre_path = EnvString("PAPYRUSKV_LUSTRE");
-  return c;
-}
-
 }  // namespace papyrus

@@ -1,11 +1,11 @@
-// Environment-variable configuration.
+// Environment-variable getters.
 //
 // The paper's artifact appendix drives experiments through PAPYRUSKV_*
 // environment variables (PAPYRUSKV_REPOSITORY, PAPYRUSKV_GROUP_SIZE,
 // PAPYRUSKV_CONSISTENCY, PAPYRUSKV_BIN_SEARCH, PAPYRUSKV_CACHE_REMOTE,
-// PAPYRUSKV_FORCE_REDISTRIBUTE, ...).  EnvConfig reads them once and layers
-// them under programmatic options, so the bench scripts in bench/ can be
-// written in the artifact's style.
+// PAPYRUSKV_FORCE_REDISTRIBUTE, ...).  Each layer reads the variables it
+// owns through these getters and layers them under programmatic options,
+// so the bench scripts in bench/ can be written in the artifact's style.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +18,5 @@ namespace papyrus {
 std::optional<std::string> EnvString(const char* name);
 std::optional<int64_t> EnvInt(const char* name);
 std::optional<bool> EnvBool(const char* name);
-
-// Snapshot of every PAPYRUSKV_* variable the artifact appendix uses.
-struct EnvConfig {
-  std::string repository;        // PAPYRUSKV_REPOSITORY
-  std::optional<int64_t> group_size;        // PAPYRUSKV_GROUP_SIZE
-  std::optional<int64_t> consistency;       // PAPYRUSKV_CONSISTENCY (1=seq,2=rel)
-  std::optional<int64_t> bin_search;        // PAPYRUSKV_BIN_SEARCH (1=off? artifact: 1/2)
-  std::optional<bool> cache_remote;         // PAPYRUSKV_CACHE_REMOTE
-  std::optional<bool> force_redistribute;   // PAPYRUSKV_FORCE_REDISTRIBUTE
-  std::optional<int64_t> memtable_bytes;    // PAPYRUSKV_MEMTABLE_SIZE
-  std::optional<std::string> lustre_path;   // PAPYRUSKV_LUSTRE
-
-  static EnvConfig Load();
-};
 
 }  // namespace papyrus

@@ -67,7 +67,7 @@ DbShard::DbShard(KvRuntime& rt, uint32_t id, std::string name, Options opt)
           &fault::Registry::Instance().GetPoint("batch.op.fail")) {
   // Resolve this shard's metrics once; hot paths then update lock-free.
   // Db-scoped counters are reset so every shard lifetime starts from zero
-  // (the old DbStats was a fresh struct per DbShard — tests rely on that).
+  // (tests and benches read them back per open).
   obs::Registry& reg = rt_.metrics();
   const std::string p = "db." + name_ + ".";
   auto counter = [&](const char* n) {
@@ -1214,28 +1214,6 @@ void DbShard::WaitFlushesDrained() {
 void DbShard::WaitMigrationsDrained() {
   MutexLock lock(&drain_mu_);
   while (pending_migrations_ != 0) drain_cv_.Wait(&drain_mu_);
-}
-
-DbStats DbShard::StatsSnapshot() const {
-  // Materialized from the registry counters (approximate under concurrent
-  // mutation, like any lock-free telemetry read).
-  DbStats s;
-  s.puts_local = m_.puts_local->Value();
-  s.puts_remote_staged = m_.puts_remote_staged->Value();
-  s.puts_remote_sync = m_.puts_remote_sync->Value();
-  s.gets_local = m_.gets_local->Value();
-  s.gets_remote = m_.gets_remote->Value();
-  s.memtable_hits = m_.memtable_hits->Value();
-  s.cache_local_hits = m_.cache_local_hits->Value();
-  s.cache_remote_hits = m_.cache_remote_hits->Value();
-  s.sstable_hits = m_.sstable_hits->Value();
-  s.bloom_negatives = m_.bloom_negatives->Value();
-  s.foreign_sstable_hits = m_.foreign_sstable_hits->Value();
-  s.remote_value_transfers = m_.remote_value_transfers->Value();
-  s.flushes = m_.flushes->Value();
-  s.migrations = m_.migrations->Value();
-  s.compactions = m_.compactions->Value();
-  return s;
 }
 
 size_t DbShard::MemTableBytes() const {

@@ -52,28 +52,6 @@ namespace papyrus::core {
 
 class KvRuntime;
 
-// Observable per-database counters (used by tests and the bench harness to
-// verify *mechanisms*, e.g. that storage-group gets bypass value transfer).
-// Since the obs/ rework this is a *view* materialized from the rank's
-// metrics registry (StatsSnapshot reads the db-scoped counters back).
-struct DbStats {
-  uint64_t puts_local = 0;
-  uint64_t puts_remote_staged = 0;   // relaxed-mode remote puts
-  uint64_t puts_remote_sync = 0;     // sequential-mode remote puts
-  uint64_t gets_local = 0;
-  uint64_t gets_remote = 0;
-  uint64_t memtable_hits = 0;
-  uint64_t cache_local_hits = 0;
-  uint64_t cache_remote_hits = 0;
-  uint64_t sstable_hits = 0;
-  uint64_t bloom_negatives = 0;      // tables skipped via bloom filter
-  uint64_t foreign_sstable_hits = 0; // storage-group shared reads (§2.7)
-  uint64_t remote_value_transfers = 0;  // values that crossed the network
-  uint64_t flushes = 0;
-  uint64_t migrations = 0;
-  uint64_t compactions = 0;
-};
-
 class DbShard : public std::enable_shared_from_this<DbShard> {
  public:
   DbShard(KvRuntime& rt, uint32_t id, std::string name, Options opt);
@@ -176,7 +154,6 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // (SSTables + manifest) survives, exactly like the §4.2 failure model.
   void DropVolatile();
 
-  DbStats StatsSnapshot() const;
   // Bytes in the mutable local + remote MemTables (diagnostics).
   size_t MemTableBytes() const;
 
@@ -318,8 +295,8 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
 
   // Cached registry metrics, resolved once in the constructor so hot-path
   // updates are lock-free relaxed atomics (obs/metrics.h).  The db-scoped
-  // counters ("db.<name>.*") are reset there too, preserving the old
-  // fresh-DbStats-per-shard semantics across close/reopen.
+  // counters ("db.<name>.*") are reset there too, so every shard lifetime
+  // counts from zero across close/reopen.
   struct Metrics {
     obs::Counter* puts_local;
     obs::Counter* puts_remote_staged;

@@ -240,7 +240,7 @@ typedef struct papyruskv_option_struct {
 // reads plus two brief leaf-lock peeks; no collectives, no I/O).  Works on
 // a crashed rank — health is exactly what you ask a sick rank for.
 //
-// put/get rates and p99s cover the last PAPYRUSKV_TIMELINE_MS sampler
+// put/get rates and p99s cover the last PAPYRUSKV_OBS sampler
 // window when the timeline sampler is on (timeline_samples > 0), else the
 // whole run; window_us reports which interval the rates describe.
 typedef struct papyruskv_health_struct {

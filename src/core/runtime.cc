@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "common/timer.h"
 #include "obs/export.h"
 #include "repl/replicator.h"
+#include "sim/storage.h"
 
 namespace papyrus::core {
 
@@ -50,6 +52,27 @@ void DumpFlight(obs::FlightRecorder& flight, const char* reason) {
     PLOG_WARN << "flight dump (" << reason << ") failed: " << s.ToString();
   }
 }
+
+// Local kv root spans recorded per thread: one in this many (E12b).
+constexpr uint32_t kKvTraceSampleEvery = 64;
+
+// Parses PAPYRUSKV_OBS=<dir>[,<interval_ms>].  Outside input: a present
+// but malformed interval is rejected rather than defaulted.
+Status ParseObsConfig(const std::string& spec, ObsConfig* out) {
+  const size_t comma = spec.rfind(',');
+  out->dir = spec.substr(0, comma);
+  if (comma == std::string::npos) return Status::OK();
+  const char* last = spec.data() + spec.size();
+  int32_t ms = 0;
+  const auto [ptr, ec] = std::from_chars(spec.data() + comma + 1, last, ms);
+  if (out->dir.empty() || ec != std::errc() || ptr != last || ms <= 0) {
+    return Status::InvalidArg(
+        "PAPYRUSKV_OBS wants <dir>[,<interval_ms>] with interval_ms > 0, "
+        "got '" + spec + "'");
+  }
+  out->interval_ms = static_cast<uint64_t>(ms);
+  return Status::OK();
+}
 }  // namespace
 
 KvRuntime* KvRuntime::Current() { return tls_runtime; }
@@ -72,7 +95,12 @@ Status KvRuntime::Init(const std::string& repository) {
   Status fs = fault::InitFromEnvOnce();
   if (!fs.ok()) return fs;
 
-  auto* rt = new KvRuntime(*ctx, repo);
+  ObsConfig obs;
+  Status os = ParseObsConfig(EnvString("PAPYRUSKV_OBS").value_or(""), &obs);
+  if (os.ok() && !obs.dir.empty()) os = sim::Storage::CreateDirs(obs.dir);
+  if (!os.ok()) return os;
+
+  auto* rt = new KvRuntime(*ctx, repo, std::move(obs));
   Status s = rt->layout_.Prepare(ctx->size());
   if (!s.ok()) {
     delete rt;
@@ -118,7 +146,8 @@ Status KvRuntime::Finalize() {
   return Status::OK();
 }
 
-KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository)
+KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository,
+                     ObsConfig obs)
     : ctx_(ctx),
       layout_(repository, ctx.topo, /*group_size=*/-1),
       req_comm_(ctx.comm.Dup()),
@@ -131,7 +160,8 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository)
       retry_(fault::RetryPolicy::FromEnv()),
       crash_point_(&fault::Registry::Instance().GetPoint("rank.crash")),
       repl_drop_point_(
-          &fault::Registry::Instance().GetPoint("repl.append.drop")) {
+          &fault::Registry::Instance().GetPoint("repl.append.drop")),
+      obs_(std::move(obs)) {
   // Resolve the runtime's hot-path metrics once; updates are then lock-free.
   g_flush_q_ = &metrics_.GetGauge("net.flush_queue_depth");
   g_mig_q_ = &metrics_.GetGauge("net.migration_queue_depth");
@@ -151,36 +181,21 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository)
   g_repl_lag_ = &metrics_.GetGauge("repl.lag_ops");
   h_kv_put_us_ = &metrics_.GetHistogram("kv.put_us");
   h_kv_get_us_ = &metrics_.GetHistogram("kv.get_us");
-  // Timeline sampler (DESIGN.md §13): PAPYRUSKV_TIMELINE_MS sets the
-  // window; 0/unset leaves it off.  Configure resolves the tracked-series
-  // pointers now so the sampling tick itself never touches the registry
-  // lock (enforced by papyrus_analyze's sampler-path walk).
-  const int64_t timeline_ms = EnvInt("PAPYRUSKV_TIMELINE_MS").value_or(0);
-  if (timeline_ms > 0) {
-    timeline_.Configure(obs::TimelineSchema::Default(),
-                        static_cast<uint64_t>(timeline_ms) * 1000);
-  }
-  if (EnvString("PAPYRUSKV_TRACE")) trace_.set_enabled(true);
   trace_.SetRank(ctx.rank);
-  // Local kv root spans are sampled (default 1 in 64) so always-on tracing
-  // stays inside the E12 overhead budget; RPC/handler/store spans are
-  // never sampled.  PAPYRUSKV_TRACE_SAMPLE=1 records every operation.
-  trace_.SetKvSampleEvery(static_cast<uint32_t>(
-      EnvInt("PAPYRUSKV_TRACE_SAMPLE").value_or(64)));
-  // Flight-recorder dump destination: PAPYRUSKV_FLIGHT wins; otherwise
-  // drop flight.rank<k>.json next to the PAPYRUSKV_STATS file; with
-  // neither set the recorder still records but never dumps.
-  const auto flight_path = EnvString("PAPYRUSKV_FLIGHT");
-  const auto stats_path = EnvString("PAPYRUSKV_STATS");
-  if (flight_path && !flight_path->empty()) {
-    flight_.ConfigureDump(obs::StatsPathForRank(*flight_path, ctx.rank),
-                          ctx.rank);
-  } else if (stats_path && !stats_path->empty()) {
-    const auto slash = stats_path->find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "" : stats_path->substr(0, slash + 1);
-    flight_.ConfigureDump(
-        obs::StatsPathForRank(dir + "flight.json", ctx.rank), ctx.rank);
+  // Local kv root spans are sampled 1 in 64 so always-on tracing stays
+  // inside the E12 overhead budget; RPC/handler/store spans are never
+  // sampled.
+  trace_.SetKvSampleEvery(kKvTraceSampleEvery);
+  // PAPYRUSKV_OBS arms stats, trace, sampler and flight dumps together.
+  // Configure resolves the sampler's tracked-series pointers now so the
+  // tick itself never touches the registry lock (enforced by
+  // papyrus_analyze's sampler-path walk).  Unset, the flight recorder
+  // still records but never dumps.
+  if (!obs_.dir.empty()) {
+    trace_.set_enabled(true);
+    timeline_.Configure(obs::TimelineSchema::Default(),
+                        obs_.interval_ms * 1000);
+    flight_.ConfigureDump(obs_.RankPath("flight", ctx.rank), ctx.rank);
   }
 }
 
@@ -194,7 +209,7 @@ void KvRuntime::StartThreads() {
   dispatcher_thread_ = std::thread([this] { DispatcherLoop(); });
   handler_thread_ = std::thread([this] { HandlerLoop(); });
   pipeline_.Start();
-  // No-op unless PAPYRUSKV_TIMELINE_MS configured it; the sampler only
+  // No-op unless PAPYRUSKV_OBS configured it; the sampler only
   // reads metrics, so it starts last and stops first.
   timeline_.Start([this] { AdoptObservability("sampler"); });
 }
@@ -249,6 +264,10 @@ void KvRuntime::AdoptObservability(const char* thread_name) {
   trace_.SetThreadName(thread_name);
   // Rank attribution for rank-scoped failpoint triggers on this thread.
   fault::SetThreadRank(ctx_.rank);
+}
+
+std::string ObsConfig::RankPath(const char* family, int rank) const {
+  return obs::StatsPathForRank(dir + "/" + family + ".json", rank);
 }
 
 std::string KvRuntime::StatsJson() const {
@@ -318,67 +337,38 @@ HealthSnapshot KvRuntime::Health() {
 }
 
 void KvRuntime::ExportObservability() {
-  const auto stats_path = EnvString("PAPYRUSKV_STATS");
-  if (stats_path && !stats_path->empty()) {
-    obs::Snapshot snap = metrics_.TakeSnapshot();
-    obs::StatsMeta meta;
-    meta.rank = ctx_.rank;
-    meta.nranks = ctx_.size();
-    const std::string path = obs::StatsPathForRank(*stats_path, ctx_.rank);
-    Status s = obs::WriteTextFile(path, obs::SnapshotToJson(snap, meta));
-    if (!s.ok()) PLOG_WARN << "stats dump failed: " << s.ToString();
+  if (obs_.dir.empty()) return;
+  auto warn = [](const Status& s) {
+    if (!s.ok()) PLOG_WARN << "observability dump failed: " << s.ToString();
+  };
+  obs::Snapshot snap = metrics_.TakeSnapshot();
+  obs::StatsMeta meta;
+  meta.rank = ctx_.rank;
+  meta.nranks = ctx_.size();
+  warn(obs::WriteTextFile(obs_.RankPath("stats", ctx_.rank),
+                          obs::SnapshotToJson(snap, meta)));
 
-    // Rank-0 roll-up: every rank contributes its snapshot, rank 0 writes
-    // the merged aggregate to the exact PAPYRUSKV_STATS path.
-    std::vector<std::string> all;
-    barrier_comm_.Allgather(obs::SerializeSnapshot(snap), &all);
-    if (ctx_.rank == 0) {
-      obs::Snapshot agg;
-      for (const auto& wire : all) {
-        obs::Snapshot part;
-        if (obs::DeserializeSnapshot(wire, &part)) agg.Merge(part);
-      }
-      obs::StatsMeta agg_meta;
-      agg_meta.rank = 0;
-      agg_meta.nranks = ctx_.size();
-      agg_meta.aggregated = true;
-      s = obs::WriteTextFile(*stats_path, obs::SnapshotToJson(agg, agg_meta));
-      if (!s.ok()) PLOG_WARN << "aggregate stats dump failed: " << s.ToString();
+  // Rank-0 roll-up: every rank contributes its snapshot, rank 0 writes
+  // the merged aggregate to <dir>/stats.json.
+  std::vector<std::string> all;
+  barrier_comm_.Allgather(obs::SerializeSnapshot(snap), &all);
+  if (ctx_.rank == 0) {
+    obs::Snapshot agg;
+    for (const auto& wire : all) {
+      obs::Snapshot part;
+      if (obs::DeserializeSnapshot(wire, &part)) agg.Merge(part);
     }
+    meta.aggregated = true;
+    warn(obs::WriteTextFile(obs_.dir + "/stats.json",
+                            obs::SnapshotToJson(agg, meta)));
   }
-  const auto trace_path = EnvString("PAPYRUSKV_TRACE");
-  if (trace_path && !trace_path->empty() && trace_.size() > 0) {
-    const std::string path = obs::StatsPathForRank(*trace_path, ctx_.rank);
-    Status s = trace_.WriteChromeTrace(path, ctx_.rank);
-    if (!s.ok()) PLOG_WARN << "trace dump failed: " << s.ToString();
-  }
-  // An explicitly requested flight destination always gets a final window
-  // (fault paths dump earlier, on their own, the moment they fire).
-  const auto flight_path = EnvString("PAPYRUSKV_FLIGHT");
-  if (flight_path && !flight_path->empty()) {
-    Status s = flight_.TriggerDump("finalize");
-    if (!s.ok()) PLOG_WARN << "flight dump failed: " << s.ToString();
-  }
-  // Timeline series (DESIGN.md §13): PAPYRUSKV_TIMELINE wins; otherwise
-  // timeline.rank<k>.json next to the PAPYRUSKV_STATS file.  Only written
-  // when the sampler actually ran (PAPYRUSKV_TIMELINE_MS > 0).
-  if (timeline_.enabled()) {
-    std::string base;
-    const auto tl_path = EnvString("PAPYRUSKV_TIMELINE");
-    if (tl_path && !tl_path->empty()) {
-      base = *tl_path;
-    } else if (stats_path && !stats_path->empty()) {
-      const auto slash = stats_path->find_last_of('/');
-      const std::string dir =
-          slash == std::string::npos ? "" : stats_path->substr(0, slash + 1);
-      base = dir + "timeline.json";
-    }
-    if (!base.empty()) {
-      Status s = obs::WriteTextFile(obs::StatsPathForRank(base, ctx_.rank),
-                                    TimelineJson());
-      if (!s.ok()) PLOG_WARN << "timeline dump failed: " << s.ToString();
-    }
-  }
+
+  warn(trace_.WriteChromeTrace(obs_.RankPath("trace", ctx_.rank), ctx_.rank));
+  warn(obs::WriteTextFile(obs_.RankPath("timeline", ctx_.rank),
+                          TimelineJson()));
+  // Fault paths dump earlier, on their own, the moment they fire; this is
+  // the run's final window.
+  DumpFlight(flight_, "finalize");
 }
 
 // ---------------------------------------------------------------------------

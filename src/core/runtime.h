@@ -69,7 +69,7 @@ struct MigrationJob {
 // Live per-rank health snapshot (papyruskv_health): read from the running
 // store without stopping it — atomics, two leaf-mutex peeks, no
 // collectives.  Rates/percentiles come from the timeline sampler's last
-// window when PAPYRUSKV_TIMELINE_MS is on, else from the whole-run
+// window when the sampler is on (PAPYRUSKV_OBS), else from the whole-run
 // cumulative histograms (window_us tells the caller which).
 struct HealthSnapshot {
   int rank = 0;
@@ -88,6 +88,16 @@ struct HealthSnapshot {
   double get_rate = 0;
   double put_p99_us = 0;
   double get_p99_us = 0;
+};
+
+// The one telemetry switch, PAPYRUSKV_OBS=<dir>[,<interval_ms>]
+// (DESIGN.md §6): parsed once by Init.  A non-empty dir arms stats, trace,
+// timeline sampler and flight dumps, all written to fixed names in dir.
+struct ObsConfig {
+  std::string dir;            // empty = telemetry off
+  uint64_t interval_ms = 50;  // timeline sampler window
+  // <dir>/<family>.rank<k>.json
+  std::string RankPath(const char* family, int rank) const;
 };
 
 // First handle value for papyruskv_*_async events.  Async-op handles and
@@ -131,7 +141,7 @@ class KvRuntime {
   obs::TraceBuffer& trace() { return trace_; }
   obs::FlightRecorder& flight() { return flight_; }
   // The continuous time-series sampler (DESIGN.md §13), enabled by
-  // PAPYRUSKV_TIMELINE_MS; its thread starts/stops with the runtime's.
+  // PAPYRUSKV_OBS; its thread starts/stops with the runtime's.
   obs::TimelineSampler& timeline() { return timeline_; }
   // Renders this rank's metrics as a stats-v1 JSON document
   // (papyruskv_stats).
@@ -260,7 +270,8 @@ class KvRuntime {
   Status FreeValue(char* p);
 
  private:
-  KvRuntime(net::RankContext& ctx, const std::string& repository);
+  KvRuntime(net::RankContext& ctx, const std::string& repository,
+            ObsConfig obs);
   ~KvRuntime();
 
   void StartThreads();
@@ -280,9 +291,9 @@ class KvRuntime {
   // simulated power loss of §4.2's failure model.
   void TriggerCrash();
 
-  // Writes the per-rank stats JSON (PAPYRUSKV_STATS), the rank-0 aggregate
-  // roll-up (allgather + merge), and the per-rank Chrome trace
-  // (PAPYRUSKV_TRACE).  Collective when PAPYRUSKV_STATS is set.
+  // With PAPYRUSKV_OBS set, writes every rank's stats, trace, flight and
+  // timeline files plus the rank-0 aggregate stats.json (allgather +
+  // merge) into the obs dir.  Collective when set; reads no environment.
   void ExportObservability();
 
   net::RankContext& ctx_;
@@ -325,6 +336,7 @@ class KvRuntime {
   std::atomic<int> resp_tag_seq_{kDynamicRespTagBase};
   fault::Point* crash_point_;      // cached rank.crash failpoint
   fault::Point* repl_drop_point_;  // cached repl.append.drop failpoint
+  const ObsConfig obs_;
 
   Mutex suspect_mu_{"rt_suspect_mu"};
   std::set<int> suspects_ GUARDED_BY(suspect_mu_);
@@ -353,7 +365,7 @@ class KvRuntime {
   obs::Histogram* h_kv_put_us_;      // kv.put_us
   obs::Histogram* h_kv_get_us_;      // kv.get_us
 
-  // Timeline sampler (DESIGN.md §13): configured from PAPYRUSKV_TIMELINE_MS
+  // Timeline sampler (DESIGN.md §13): configured from PAPYRUSKV_OBS
   // in the constructor, started/stopped with the runtime threads.  Declared
   // after metrics_ (it resolves tracked metrics from it).
   obs::TimelineSampler timeline_{&metrics_};

@@ -2,7 +2,7 @@
 // dumped automatically when a fault path fires so every timeout, quarantine
 // or simulated crash ships its own diagnosis.
 //
-// Unlike the trace buffer (which needs PAPYRUSKV_TRACE and records full
+// Unlike the trace buffer (which needs PAPYRUSKV_OBS and records full
 // spans), the flight recorder is always recording: each Record() is one
 // atomic ticket claim plus a handful of relaxed stores, cheap enough for
 // the RPC/retry/flush paths it annotates.  Nothing is written anywhere
@@ -16,9 +16,8 @@
 //
 // `a`/`b` are per-kind integers (typically peer rank and opcode/attempt);
 // `trace` links the event to the distributed trace when one was active.
-// The dump destination is PAPYRUSKV_FLIGHT (per-rank suffixed like stats
-// paths) or, when unset, flight.rank<k>.json next to the PAPYRUSKV_STATS
-// file; with neither configured TriggerDump is a no-op.
+// The dump destination is flight.rank<k>.json in the PAPYRUSKV_OBS
+// directory; with the switch unset TriggerDump is a no-op.
 #pragma once
 
 #include <atomic>

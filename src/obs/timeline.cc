@@ -619,7 +619,7 @@ std::string RenderTimelineTables(const MergedTimeline& m) {
            m.lanes.size(), static_cast<double>(m.window_us) / 1e3, m.windows);
   out += buf;
   if (m.windows == 0 || m.lanes.empty()) {
-    out += "(no samples — was PAPYRUSKV_TIMELINE_MS set?)\n";
+    out += "(no samples — was PAPYRUSKV_OBS set?)\n";
     return out;
   }
   const std::vector<size_t> idx = RateHistIndices(m.schema);

@@ -1,8 +1,8 @@
 // Continuous time-series telemetry (DESIGN.md §13): a per-rank background
 // sampler that turns the cumulative metrics registry into windowed series —
 // counter deltas, gauge levels, and per-window log2-histogram percentiles —
-// published into a lock-free ring and exported as timeline-v1 JSON next to
-// the PAPYRUSKV_STATS dumps.
+// published into a lock-free ring and exported as timeline-v1 JSON into
+// the PAPYRUSKV_OBS directory.
 //
 // Design constraints, in order:
 //   1. The sampling tick (SampleOnce) must be lock-free: every tracked

@@ -4,7 +4,7 @@
 // Each rank's runtime owns one fixed-capacity ring of complete ("ph":"X")
 // events — flush, migration, compaction, checkpoint/restart, plus (when an
 // operation context is active) per-operation request spans — cheap enough
-// to leave compiled in and gated at runtime by PAPYRUSKV_TRACE=path.  When
+// to leave compiled in and gated at runtime by PAPYRUSKV_OBS=<dir>.  When
 // the ring wraps, the oldest events are overwritten and counted as dropped;
 // tracing never blocks or allocates on the recording path beyond the
 // event's name.
@@ -97,7 +97,7 @@ class TraceBuffer {
   // flush and compaction — is always recorded, so remote operations keep
   // their full causal chain while micro-second local hits don't pay a
   // ~0.3us recording tax 8192-ring slots' worth of times per wrap.
-  // n <= 1 records everything (PAPYRUSKV_TRACE_SAMPLE=1).
+  // n <= 1 records everything; the runtime fixes n = 64 (E12b).
   void SetKvSampleEvery(uint32_t n) {
     kv_sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
   }

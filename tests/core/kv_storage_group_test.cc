@@ -2,7 +2,6 @@
 // SSTables directly, eliminating value transfer over the interconnect.
 #include <gtest/gtest.h>
 
-#include "core/db_shard.h"
 #include "kv_test_util.h"
 
 namespace papyrus::testutil {
@@ -39,10 +38,9 @@ TEST_F(Kv, SharedNvmGetAvoidsValueTransfer) {
       std::string out;
       ASSERT_EQ(GetStr(db, key, &out), PAPYRUSKV_SUCCESS);
       EXPECT_EQ(out, big_val);
-      const auto stats = papyrus::core::DbHandle(db)->StatsSnapshot();
-      EXPECT_GE(stats.foreign_sstable_hits, 1u)
+      EXPECT_GE(DbCounter(db, "foreign_sstable_hits"), 1u)
           << "value was not read from the shared SSTable";
-      EXPECT_EQ(stats.remote_value_transfers, 0u)
+      EXPECT_EQ(DbCounter(db, "remote_value_transfers"), 0u)
           << "value crossed the network despite shared storage";
     }
     ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE), PAPYRUSKV_SUCCESS);
@@ -70,9 +68,8 @@ TEST_F(Kv, CrossGroupGetTransfersValue) {
           std::string out;
           ASSERT_EQ(GetStr(db, key, &out), PAPYRUSKV_SUCCESS);
           EXPECT_EQ(out, "crossgroup");
-          const auto stats = papyrus::core::DbHandle(db)->StatsSnapshot();
-          EXPECT_EQ(stats.foreign_sstable_hits, 0u);
-          EXPECT_GE(stats.remote_value_transfers, 1u);
+          EXPECT_EQ(DbCounter(db, "foreign_sstable_hits"), 0u);
+          EXPECT_GE(DbCounter(db, "remote_value_transfers"), 1u);
         }
         ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE),
                   PAPYRUSKV_SUCCESS);
@@ -97,9 +94,8 @@ TEST_F(Kv, GroupSizeEnvOverridesTopology) {
     if (ctx.rank == 1) {
       std::string out;
       ASSERT_EQ(GetStr(db, key, &out), PAPYRUSKV_SUCCESS);
-      const auto stats = papyrus::core::DbHandle(db)->StatsSnapshot();
-      EXPECT_EQ(stats.foreign_sstable_hits, 0u);
-      EXPECT_GE(stats.remote_value_transfers, 1u);
+      EXPECT_EQ(DbCounter(db, "foreign_sstable_hits"), 0u);
+      EXPECT_GE(DbCounter(db, "remote_value_transfers"), 1u);
     }
     ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_MEMTABLE), PAPYRUSKV_SUCCESS);
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);

@@ -10,7 +10,9 @@
 #include <string>
 
 #include "../util/temp_dir.h"
+#include "core/db_shard.h"
 #include "core/papyruskv.h"
+#include "core/runtime.h"
 #include "net/runtime.h"
 #include "sim/device_model.h"
 
@@ -79,6 +81,14 @@ inline int GetStr(papyruskv_db_t db, const std::string& k, std::string* out) {
     EXPECT_EQ(papyruskv_free(db, value), PAPYRUSKV_SUCCESS);
   }
   return rc;
+}
+
+// The calling rank's db-scoped registry counter "db.<name of db>.<counter>".
+inline uint64_t DbCounter(papyruskv_db_t db, const char* counter) {
+  return core::KvRuntime::Current()
+      ->metrics()
+      .GetCounter("db." + core::DbHandle(db)->name() + "." + counter)
+      .Value();
 }
 
 }  // namespace papyrus::testutil

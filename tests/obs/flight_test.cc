@@ -103,16 +103,10 @@ class FlightE2eTest : public FaultTest {
  protected:
   void SetUp() override {
     FaultTest::SetUp();
-    for (const char* var :
-         {"PAPYRUSKV_FLIGHT", "PAPYRUSKV_STATS", "PAPYRUSKV_TRACE"}) {
-      unsetenv(var);
-    }
+    unsetenv("PAPYRUSKV_OBS");
   }
   void TearDown() override {
-    for (const char* var :
-         {"PAPYRUSKV_FLIGHT", "PAPYRUSKV_STATS", "PAPYRUSKV_TRACE"}) {
-      unsetenv(var);
-    }
+    unsetenv("PAPYRUSKV_OBS");
     FaultTest::TearDown();
   }
 
@@ -154,7 +148,7 @@ std::vector<std::string> KeysOwnedBy(const core::DbShardPtr& shard, int owner,
 
 TEST_F(FlightE2eTest, RequestTimeoutDumpsFailingOpAndPeer) {
   const std::string base = tmp_.path() + "/flight.json";
-  setenv("PAPYRUSKV_FLIGHT", base.c_str(), 1);
+  setenv("PAPYRUSKV_OBS", tmp_.path().c_str(), 1);
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
   const std::string repo = tmp_.path() + "/repo";
@@ -196,7 +190,7 @@ TEST_F(FlightE2eTest, RequestTimeoutDumpsFailingOpAndPeer) {
 
 TEST_F(FlightE2eTest, SimulatedCrashDumpsBeforeTheRankGoesDark) {
   const std::string base = tmp_.path() + "/flight.json";
-  setenv("PAPYRUSKV_FLIGHT", base.c_str(), 1);
+  setenv("PAPYRUSKV_OBS", tmp_.path().c_str(), 1);
   // A crashed rank is fail-stop silent, so rank 0's puts to it run the
   // timeout ladder; keep it short or this test takes real minutes.
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);

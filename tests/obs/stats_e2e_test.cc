@@ -1,21 +1,72 @@
 // End-to-end observability tests: a real multi-rank run with
-// PAPYRUSKV_STATS / PAPYRUSKV_TRACE set must produce parseable dumps with
-// non-zero operation, network, and device metrics, and the live
-// papyruskv_stats C API must honor its buffer contract.
+// PAPYRUSKV_OBS=<dir> set must produce parseable dumps with non-zero
+// operation, network, and device metrics that papyrus_inspect can read
+// back; unset it must write nothing, and a malformed switch must fail
+// papyruskv_init.  The live papyruskv_stats C API must honor its buffer
+// contract.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "../fault/fault_test_util.h"
 #include "../util/temp_dir.h"
+#include "core/db_shard.h"
 #include "core/papyruskv.h"
 #include "net/runtime.h"
 #include "obs/export.h"
+#include "obs/timeline.h"
 #include "sim/device_model.h"
 #include "sim/storage.h"
 
 namespace papyrus {
 namespace {
+
+// A small workload over a shared keyspace: with 2 ranks roughly half the
+// keys are remote, so puts/gets exercise the network path, and the
+// SSTABLE barrier forces flushes (device writes + trace spans).
+void Workload(int rank) {
+  papyruskv_db_t db;
+  ASSERT_EQ(papyruskv_open("edb", PAPYRUSKV_CREATE | PAPYRUSKV_RDWR,
+                           nullptr, &db),
+            PAPYRUSKV_SUCCESS);
+  const std::string value(64, 'v');
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "r" + std::to_string(rank) + "k" +
+                            std::to_string(i);
+    ASSERT_EQ(papyruskv_put(db, key.data(), key.size(), value.data(),
+                            value.size()),
+              PAPYRUSKV_SUCCESS);
+  }
+  ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_SSTABLE), PAPYRUSKV_SUCCESS);
+  for (int i = 0; i < 50; ++i) {
+    const std::string key = "r" + std::to_string(1 - rank) + "k" +
+                            std::to_string(i);
+    char* out = nullptr;
+    size_t outlen = 0;
+    ASSERT_EQ(papyruskv_get(db, key.data(), key.size(), &out, &outlen),
+              PAPYRUSKV_SUCCESS);
+    ASSERT_EQ(papyruskv_free(db, out), PAPYRUSKV_SUCCESS);
+  }
+  ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+}
+
+// Reads and JSON-parses `path`, asserting both succeed.
+void ReadJson(const std::string& path, obs::JsonValue* v) {
+  std::string text;
+  ASSERT_TRUE(sim::Storage::ReadFileToString(path, &text).ok()) << path;
+  ASSERT_TRUE(obs::ParseJson(text, v)) << path;
+}
+
+// Runs papyrus_inspect with `args`, output discarded; returns its exit code.
+int Inspect(const std::string& args) {
+  const std::string cmd =
+      std::string(PAPYRUS_INSPECT_BIN) + " " + args + " >/dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
 
 class ObsE2eTest : public ::testing::Test {
  protected:
@@ -31,7 +82,7 @@ class ObsE2eTest : public ::testing::Test {
     for (const char* var :
          {"PAPYRUSKV_REPOSITORY", "PAPYRUSKV_GROUP_SIZE",
           "PAPYRUSKV_CONSISTENCY", "PAPYRUSKV_MEMTABLE_SIZE",
-          "PAPYRUSKV_STATS", "PAPYRUSKV_TRACE"}) {
+          "PAPYRUSKV_OBS"}) {
       unsetenv(var);
     }
   }
@@ -50,41 +101,13 @@ class ObsE2eTest : public ::testing::Test {
     return total;
   }
 
-  // A small workload over a shared keyspace: with 2 ranks roughly half the
-  // keys are remote, so puts/gets exercise the network path, and the
-  // SSTABLE barrier forces flushes (device writes + trace spans).
-  static void Workload(int rank) {
-    papyruskv_db_t db;
-    ASSERT_EQ(papyruskv_open("edb", PAPYRUSKV_CREATE | PAPYRUSKV_RDWR,
-                             nullptr, &db),
-              PAPYRUSKV_SUCCESS);
-    const std::string value(64, 'v');
-    for (int i = 0; i < 200; ++i) {
-      const std::string key = "r" + std::to_string(rank) + "k" +
-                              std::to_string(i);
-      ASSERT_EQ(papyruskv_put(db, key.data(), key.size(), value.data(),
-                              value.size()),
-                PAPYRUSKV_SUCCESS);
-    }
-    ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_SSTABLE), PAPYRUSKV_SUCCESS);
-    for (int i = 0; i < 50; ++i) {
-      const std::string key = "r" + std::to_string(1 - rank) + "k" +
-                              std::to_string(i);
-      char* out = nullptr;
-      size_t outlen = 0;
-      ASSERT_EQ(papyruskv_get(db, key.data(), key.size(), &out, &outlen),
-                PAPYRUSKV_SUCCESS);
-      ASSERT_EQ(papyruskv_free(db, out), PAPYRUSKV_SUCCESS);
-    }
-    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
-  }
-
   testutil::TempDir tmp_{"papyruskv_obs"};
 };
 
 TEST_F(ObsE2eTest, StatsEnvProducesPerRankAndAggregateDumps) {
-  const std::string stats = tmp_.path() + "/stats.json";
-  setenv("PAPYRUSKV_STATS", stats.c_str(), 1);
+  const std::string dir = tmp_.path() + "/obs";
+  const std::string stats = dir + "/stats.json";
+  setenv("PAPYRUSKV_OBS", dir.c_str(), 1);
   const std::string repo = tmp_.path() + "/repo";
 
   net::RunRanks(2, [&](net::RankContext& ctx) {
@@ -110,7 +133,7 @@ TEST_F(ObsE2eTest, StatsEnvProducesPerRankAndAggregateDumps) {
     EXPECT_EQ(snap.histograms.at("kv.get_us").count, 50u);
   }
 
-  // The rank-0 aggregate at the exact PAPYRUSKV_STATS path.
+  // The rank-0 aggregate at <dir>/stats.json.
   std::string text;
   ASSERT_TRUE(sim::Storage::ReadFileToString(stats, &text).ok());
   obs::Snapshot agg;
@@ -142,8 +165,9 @@ TEST_F(ObsE2eTest, StatsEnvProducesPerRankAndAggregateDumps) {
 }
 
 TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
-  const std::string trace = tmp_.path() + "/trace.json";
-  setenv("PAPYRUSKV_TRACE", trace.c_str(), 1);
+  const std::string dir = tmp_.path() + "/obs";
+  const std::string trace = dir + "/trace.json";
+  setenv("PAPYRUSKV_OBS", dir.c_str(), 1);
   const std::string repo = tmp_.path() + "/repo";
 
   net::RunRanks(2, [&](net::RankContext& ctx) {
@@ -192,6 +216,33 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
     EXPECT_TRUE(saw_named_thread) << path;
     EXPECT_TRUE(saw_dropped_counter) << path;
   }
+}
+
+TEST_F(ObsE2eTest, UnsetObsWritesNothing) {
+  const std::string repo = tmp_.path() + "/repo";
+  net::RunRanks(2, [&](net::RankContext& ctx) {
+    ASSERT_EQ(papyruskv_init(nullptr, nullptr, repo.c_str()),
+              PAPYRUSKV_SUCCESS);
+    Workload(ctx.rank);
+    ASSERT_EQ(papyruskv_finalize(), PAPYRUSKV_SUCCESS);
+  });
+  std::vector<std::string> entries;
+  ASSERT_TRUE(sim::Storage::ListDir(tmp_.path(), &entries).ok());
+  EXPECT_EQ(entries, std::vector<std::string>{"repo"});
+}
+
+TEST_F(ObsE2eTest, MalformedObsIntervalFailsInit) {
+  const std::string dir = tmp_.path() + "/obs";
+  const std::string repo = tmp_.path() + "/repo";
+  for (const char* suffix : {",abc", ",0", ",-5", ","}) {
+    setenv("PAPYRUSKV_OBS", (dir + suffix).c_str(), 1);
+    net::RunRanks(2, [&](net::RankContext&) {
+      EXPECT_EQ(papyruskv_init(nullptr, nullptr, repo.c_str()),
+                PAPYRUSKV_INVALID_ARG)
+          << suffix;
+    });
+  }
+  EXPECT_FALSE(sim::Storage::FileExists(dir));
 }
 
 TEST_F(ObsE2eTest, StatsApiBufferContract) {
@@ -252,6 +303,95 @@ TEST_F(ObsE2eTest, StatsApiBufferContract) {
   size_t len = 0;
   EXPECT_EQ(papyruskv_stats(-1, nullptr, &len), PAPYRUSKV_CLOSED);
   EXPECT_EQ(papyruskv_stats_reset(), PAPYRUSKV_CLOSED);
+}
+
+// The whole observe -> inspect path: one switch, four artifact families
+// per rank, a fault-path flight dump, and the inspector reading it all
+// back from the one directory.
+class ObsDirE2eTest : public testutil::FaultTest {
+ protected:
+  void TearDown() override {
+    unsetenv("PAPYRUSKV_OBS");
+    FaultTest::TearDown();
+  }
+};
+
+TEST_F(ObsDirE2eTest, OneSwitchWritesEveryFamilyAndInspectorReadsThem) {
+  const std::string dir = tmp_.path() + "/obs";
+  setenv("PAPYRUSKV_OBS", (dir + ",5").c_str(), 1);
+  setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
+  setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
+
+  RunKv(2, tmp_.path() + "/repo", [&](net::RankContext& ctx) {
+    Workload(ctx.rank);
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("tdb", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    ctx.comm.Barrier();
+    if (ctx.rank == 0) {
+      // Every send from rank 0 is dropped: a put owned by rank 1 times
+      // out, and the timeout path dumps the flight ring on the spot.
+      auto shard = core::DbHandle(db);
+      std::string key = "t0";
+      for (int i = 1; shard->OwnerOf(key) != 1; ++i) {
+        key = "t" + std::to_string(i);
+      }
+      Arm("net.msg.drop=rank0:1.0");
+      EXPECT_EQ(testutil::PutStr(db, key, "lost"), PAPYRUSKV_ERR_TIMEOUT);
+      fault::Registry::Instance().DisableAll();
+      obs::JsonValue v;
+      ReadJson(dir + "/flight.rank0.json", &v);
+      EXPECT_EQ(v.Find("reason")->str, "request timeout");
+    }
+    ctx.comm.Barrier();
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+
+  for (int r = 0; r < 2; ++r) {
+    const std::string k = ".rank" + std::to_string(r) + ".json";
+    std::string text;
+    ASSERT_TRUE(
+        sim::Storage::ReadFileToString(dir + "/stats" + k, &text).ok());
+    obs::Snapshot snap;
+    obs::StatsMeta meta;
+    EXPECT_TRUE(obs::ParseStatsJson(text, &snap, &meta));
+    EXPECT_EQ(meta.rank, r);
+
+    ASSERT_TRUE(
+        sim::Storage::ReadFileToString(dir + "/timeline" + k, &text).ok());
+    obs::TimelineDoc doc;
+    ASSERT_TRUE(obs::ParseTimelineJson(text, &doc));
+    EXPECT_EQ(doc.interval_us, 5000u);
+    EXPECT_FALSE(doc.samples.empty());
+
+    obs::JsonValue v;
+    ReadJson(dir + "/trace" + k, &v);
+    ASSERT_NE(v.Find("traceEvents"), nullptr);
+    EXPECT_GT(v.Find("traceEvents")->array.size(), 0u);
+
+    ReadJson(dir + "/flight" + k, &v);
+    ASSERT_NE(v.Find("events"), nullptr);
+  }
+  std::string text;
+  ASSERT_TRUE(sim::Storage::ReadFileToString(dir + "/stats.json", &text).ok());
+  obs::Snapshot agg;
+  obs::StatsMeta meta;
+  ASSERT_TRUE(obs::ParseStatsJson(text, &agg, &meta));
+  EXPECT_TRUE(meta.aggregated);
+  EXPECT_GT(agg.counters.at("net.req.timeouts"), 0u);
+
+  EXPECT_EQ(Inspect("--stats " + dir + "/stats.json"), 0);
+  EXPECT_EQ(Inspect("--trace-merge " + dir), 0);
+  EXPECT_TRUE(sim::Storage::FileExists(dir + "/trace.merged.json"));
+  EXPECT_EQ(Inspect("--timeline " + dir), 0);
+  ASSERT_TRUE(
+      sim::Storage::ReadFileToString(dir + "/timeline.merged.json", &text)
+          .ok());
+  // The flight overlay reached the merged timeline.
+  EXPECT_NE(text.find("\"timeout\""), std::string::npos);
 }
 
 }  // namespace

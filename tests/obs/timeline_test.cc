@@ -260,9 +260,7 @@ class TimelineE2eTest : public ::testing::Test {
     for (const char* var :
          {"PAPYRUSKV_REPOSITORY", "PAPYRUSKV_GROUP_SIZE",
           "PAPYRUSKV_CONSISTENCY", "PAPYRUSKV_MEMTABLE_SIZE",
-          "PAPYRUSKV_STATS", "PAPYRUSKV_TRACE", "PAPYRUSKV_TIMELINE",
-          "PAPYRUSKV_TIMELINE_MS", "PAPYRUSKV_FLIGHT",
-          "PAPYRUSKV_REPLICAS"}) {
+          "PAPYRUSKV_OBS", "PAPYRUSKV_REPLICAS"}) {
       unsetenv(var);
     }
   }
@@ -271,9 +269,7 @@ class TimelineE2eTest : public ::testing::Test {
 };
 
 TEST_F(TimelineE2eTest, TimelineExportsNextToStats) {
-  const std::string stats = tmp_.path() + "/stats.json";
-  setenv("PAPYRUSKV_STATS", stats.c_str(), 1);
-  setenv("PAPYRUSKV_TIMELINE_MS", "5", 1);
+  setenv("PAPYRUSKV_OBS", (tmp_.path() + ",5").c_str(), 1);
   const std::string repo = tmp_.path() + "/repo";
 
   net::RunRanks(2, [&](net::RankContext& ctx) {
@@ -296,10 +292,13 @@ TEST_F(TimelineE2eTest, TimelineExportsNextToStats) {
     ASSERT_EQ(papyruskv_finalize(), PAPYRUSKV_SUCCESS);
   });
 
-  // timeline.rank<k>.json lands next to the stats dumps, one per rank.
+  // timeline.rank<k>.json lands in the obs dir next to the stats dumps,
+  // one per rank.
   const std::string base = tmp_.path() + "/timeline.json";
   for (int r = 0; r < 2; ++r) {
     const std::string path = obs::StatsPathForRank(base, r);
+    EXPECT_TRUE(sim::Storage::FileExists(
+        obs::StatsPathForRank(tmp_.path() + "/stats.json", r)));
     std::string text;
     ASSERT_TRUE(sim::Storage::ReadFileToString(path, &text).ok()) << path;
     obs::TimelineDoc doc;
@@ -321,7 +320,7 @@ TEST_F(TimelineE2eTest, TimelineExportsNextToStats) {
 }
 
 TEST_F(TimelineE2eTest, HealthSnapshotLive) {
-  setenv("PAPYRUSKV_TIMELINE_MS", "5", 1);
+  setenv("PAPYRUSKV_OBS", (tmp_.path() + "/obs,5").c_str(), 1);
   const std::string repo = tmp_.path() + "/repo";
 
   net::RunRanks(2, [&](net::RankContext& ctx) {

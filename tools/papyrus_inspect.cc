@@ -3,21 +3,21 @@
 //   papyrus_inspect <rank dir>               # catalog: live SSTables
 //   papyrus_inspect <rank dir> --ssid=N      # dump one table's records
 //   papyrus_inspect <rank dir> --verify      # CRC-check every record
-//   papyrus_inspect --stats <stats.json>     # render a PAPYRUSKV_STATS dump
-//   papyrus_inspect --trace-merge <trace.json> [out.json]
-//                                            # merge per-rank traces
-//   papyrus_inspect --timeline <timeline.json> [--flight=..] [--out=..]
-//                                            # merge per-rank time series
+//   papyrus_inspect --stats <stats.json>     # render one stats dump
+//   papyrus_inspect --trace-merge <obs dir>  # merge per-rank traces
+//   papyrus_inspect --timeline <obs dir>     # merge per-rank time series
 //
 // Works on any directory produced by the library (a repository's
 // <group>/<db>/rank<k>, or a checkpoint's rank<k> snapshot directory) —
-// the same recovery scan the zero-copy reopen uses.  --stats reads the
-// JSON a run wrote when PAPYRUSKV_STATS=path was set (per-rank or the
-// rank-0 aggregate) and prints it as tables.  --trace-merge takes the
-// PAPYRUSKV_TRACE base path, merges every trace.rank<k>.json into one
-// Perfetto-loadable timeline (all ranks share one steady clock, so events
-// concatenate without rebasing), and prints a per-op critical-path table
-// built from the trace/span/parent ids each span carries.
+// the same recovery scan the zero-copy reopen uses.  The other modes read
+// what a run wrote into its PAPYRUSKV_OBS=<dir>.  --stats prints one
+// stats JSON (stats.rank<k>.json or the rank-0 aggregate stats.json) as
+// tables.  --trace-merge merges every trace.rank<k>.json into one
+// Perfetto-loadable <dir>/trace.merged.json (all ranks share one steady
+// clock, so events concatenate without rebasing), and prints a per-op
+// critical-path table built from the trace/span/parent ids each span
+// carries.  --timeline merges every timeline.rank<k>.json, with the
+// flight.rank<k>.json events overlaid, into <dir>/timeline.merged.json.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -217,21 +217,15 @@ std::string ArgId(const obs::JsonValue& ev, const char* key) {
 }
 
 // Inserts ".merged" before the extension: trace.json → trace.merged.json.
-std::string DefaultMergedPath(const std::string& base) {
-  const size_t dot = base.find_last_of('.');
-  const size_t slash = base.find_last_of('/');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + ".merged.json";
-  return base.substr(0, dot) + ".merged" + base.substr(dot);
-}
-
 // Mean-of-column helper for the critical-path table.
 struct OpStats {
   uint64_t count = 0;
   double total = 0, queue = 0, service = 0, search = 0;
 };
 
-int TraceMerge(const std::string& base, const std::string& out_path) {
+int TraceMerge(const std::string& dir) {
+  const std::string base = dir + "/trace.json";
+  const std::string out_path = dir + "/trace.merged.json";
   // Collect every per-rank file the run produced (rank files are dense
   // from 0, so the first gap ends the scan).
   std::vector<std::string> texts;
@@ -250,8 +244,8 @@ int TraceMerge(const std::string& base, const std::string& out_path) {
     ranks.push_back(r);
   }
   if (texts.empty()) {
-    fprintf(stderr, "no per-rank traces found for %s (expected %s, ...)\n",
-            base.c_str(), obs::StatsPathForRank(base, 0).c_str());
+    fprintf(stderr, "no per-rank traces found (expected %s, ...)\n",
+            obs::StatsPathForRank(base, 0).c_str());
     return 1;
   }
 
@@ -382,8 +376,9 @@ bool OverlayKind(const std::string& kind) {
          kind == "repl_resync";
 }
 
-int TimelineMode(const std::string& base, const std::string& flight_base,
-                 const std::string& out_path) {
+int TimelineMode(const std::string& dir) {
+  const std::string base = dir + "/timeline.json";
+  const std::string out_path = dir + "/timeline.merged.json";
   // Collect every per-rank timeline the run produced (rank files are dense
   // from 0, so the first gap ends the scan).
   std::vector<obs::TimelineDoc> docs;
@@ -407,22 +402,15 @@ int TimelineMode(const std::string& base, const std::string& flight_base,
   }
   if (docs.empty()) {
     fprintf(stderr,
-            "no per-rank timelines found for %s (expected %s, ...)\n"
-            "was the run started with PAPYRUSKV_TIMELINE_MS set?\n",
-            base.c_str(), obs::StatsPathForRank(base, 0).c_str());
+            "no per-rank timelines found (expected %s, ...)\n"
+            "was the run started with PAPYRUSKV_OBS=<dir> set?\n",
+            obs::StatsPathForRank(base, 0).c_str());
     return 1;
   }
 
-  // Flight-event overlay: --flight=<base> wins, else flight.json next to
-  // the timeline base (the runtime's default dump location).  Absence is
-  // fine — the lanes render without annotations.
-  std::string fbase = flight_base;
-  if (fbase.empty()) {
-    const size_t slash = base.find_last_of('/');
-    fbase = (slash == std::string::npos ? std::string()
-                                        : base.substr(0, slash + 1)) +
-            "flight.json";
-  }
+  // Flight-event overlay from the same directory.  Absence is fine — the
+  // lanes render without annotations.
+  const std::string fbase = dir + "/flight.json";
   std::vector<obs::TimelineEvent> events;
   int flight_files = 0;
   for (int r = 0;; ++r) {
@@ -466,38 +454,22 @@ int main(int argc, char** argv) {
   if (argc == 3 && strcmp(argv[1], "--stats") == 0) {
     return ShowStats(argv[2]);
   }
-  if (argc >= 3 && strcmp(argv[1], "--timeline") == 0) {
-    const std::string base = argv[2];
-    std::string flight_base, out_path;
-    for (int i = 3; i < argc; ++i) {
-      if (strncmp(argv[i], "--flight=", 9) == 0) {
-        flight_base = argv[i] + 9;
-      } else if (strncmp(argv[i], "--out=", 6) == 0) {
-        out_path = argv[i] + 6;
-      } else {
-        fprintf(stderr, "unknown --timeline flag: %s\n", argv[i]);
-        return 2;
-      }
-    }
-    if (out_path.empty()) out_path = DefaultMergedPath(base);
-    return TimelineMode(base, flight_base, out_path);
+  if (argc == 3 && strcmp(argv[1], "--timeline") == 0) {
+    return TimelineMode(argv[2]);
   }
-  if ((argc == 3 || argc == 4) && strcmp(argv[1], "--trace-merge") == 0) {
-    const std::string base = argv[2];
-    return TraceMerge(base, argc == 4 ? argv[3] : DefaultMergedPath(base));
+  if (argc == 3 && strcmp(argv[1], "--trace-merge") == 0) {
+    return TraceMerge(argv[2]);
   }
-  if (argc < 2) {
+  if (argc < 2 || argv[1][0] == '-') {  // no args, or a mode misused
     fprintf(stderr,
             "usage: %s <rank dir> [--ssid=N | --verify]\n"
             "       %s --stats <stats.json>\n"
-            "       %s --trace-merge <trace.json> [out.json]\n"
-            "       %s --timeline <timeline.json> [--flight=<flight.json>]"
-            " [--out=<merged.json>]\n"
+            "       %s --trace-merge <obs dir>\n"
+            "       %s --timeline <obs dir>\n"
             "  inspects the SSTables of one rank of a PapyrusKV database,\n"
-            "  renders a PAPYRUSKV_STATS metrics dump, merges the per-rank\n"
-            "  PAPYRUSKV_TRACE files into one Perfetto timeline, or merges\n"
-            "  the per-rank PAPYRUSKV_TIMELINE series into aligned lanes\n"
-            "  with flight-recorder event overlays\n",
+            "  renders a stats dump, or merges the per-rank traces (or\n"
+            "  time series, with flight-recorder event overlays) that a\n"
+            "  PAPYRUSKV_OBS=<obs dir> run wrote into one file in <obs dir>\n",
             argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
