@@ -5,7 +5,7 @@
 # The metrics registry is lock-free on the update path, so "TSan-clean"
 # is part of its contract — this script is how that is checked.
 #
-#   scripts/check.sh                 # lint + build + ctest + TSan subset
+#   scripts/check.sh                 # analyze + build + ctest + TSan subset
 #   PAPYRUS_SANITIZE=address scripts/check.sh    # ASan instead of TSan
 #   PAPYRUS_SANITIZE=undefined scripts/check.sh  # UBSan instead of TSan
 #
@@ -16,8 +16,8 @@ cd "$(dirname "$0")/.."
 
 SAN="${PAPYRUS_SANITIZE:-thread}"
 
-echo "== lint =="
-python3 tools/papyrus_lint.py
+echo "== analyze =="
+python3 tools/analyzer/papyrus_analyze.py
 
 echo "== build (default) =="
 cmake -B build -S . >/dev/null

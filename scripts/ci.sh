@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # The full correctness pipeline, in dependency order:
 #
-#   1. lint        tools/papyrus_lint.py self-test + repo-wide run
-#   2. analyze     tools/analyzer/papyrus_analyze.py self-tests (intra-file
-#                  + protocol family) + repo-wide run (guarded-by,
-#                  status-discard, codec-symmetry, pipeline-blocking,
-#                  proto-handler, proto-resp-tag, proto-deadlock,
-#                  proto-spec-drift) + wire-version vs HEAD; findings are
-#                  archived as build/analyze_findings.json; runs on the
-#                  built-in text frontend, so it is never skipped — spec
-#                  drift (PROTOCOL.json vs src/core/wire.h) fails here
-#   3. build+test  default build, full ctest suite
-#   4. fault       fault matrix: the whole ctest suite re-run under a
+#   1. analyze     tools/analyzer/papyrus_analyze.py self-test + tree-wide
+#                  run of its one 15-rule catalogue (intra-process,
+#                  message-flow and tree-hygiene rules — raw-mutex,
+#                  direct-send, trace-add, ...) + wire-version vs HEAD;
+#                  findings are archived as build/analyze_findings.json;
+#                  runs on the built-in text frontend, so it is never
+#                  skipped — spec drift (PROTOCOL.json vs src/core/wire.h)
+#                  fails here
+#   2. build+test  default build, full ctest suite
+#   3. fault       fault matrix: the whole ctest suite re-run under a
 #                  canned correctness-neutral PAPYRUSKV_FAULTS profile
 #                  (message delay + duplication) — every suite must still
 #                  pass with the recovery paths doing real work; a red run
@@ -21,14 +20,14 @@
 #                  50ms timeline sampler, flight dumps), and a failure
 #                  archives that directory as build/flight_<stage>.tar.gz
 #                  (next to build/analyze_findings.json)
-#   5. tsa         Clang build with -Werror=thread-safety
+#   4. tsa         Clang build with -Werror=thread-safety
 #                  (skipped with a notice if clang++ is not installed)
-#   6. clang-tidy  concurrency/bugprone checks (skipped if not installed)
-#   7. sanitizers  TSan, ASan, UBSan builds re-running the
+#   5. clang-tidy  concurrency/bugprone checks (skipped if not installed)
+#   6. sanitizers  TSan, ASan, UBSan builds re-running the
 #                  concurrency-sensitive test subset (async_test and
 #                  fault_test included, so the submission pipeline and the
 #                  retry/recovery paths get the TSan treatment)
-#   8. bench       micro_kv + fig06_basic + micro_kv_async + repl_failover
+#   7. bench       micro_kv + fig06_basic + micro_kv_async + repl_failover
 #                  smoke runs with the metrics hook:
 #                  each writes an aggregate BENCH_<name>.json snapshot at
 #                  the repo root (committed, so metric drift shows in
@@ -92,14 +91,9 @@ stage() {
   fi
 }
 
-stage lint "[1/8] lint"
-python3 tools/papyrus_lint.py --self-test
-python3 tools/papyrus_lint.py
-
-stage analyze "[2/8] analyze (semantic + protocol checks)"
+stage analyze "[1/7] analyze"
 python3 tools/analyzer/papyrus_analyze.py --self-test
-python3 tools/analyzer/papyrus_analyze.py --self-test-protocol
-# Tree-wide semantic run; wire-version discipline is diff-driven, so gate
+# Tree-wide run; wire-version discipline is diff-driven, so gate
 # the working tree's edits against HEAD (no-op on a clean tree).  The
 # machine-readable findings are archived even when the run fails, so a red
 # stage still leaves build/analyze_findings.json for tooling to pick up.
@@ -107,7 +101,7 @@ mkdir -p build
 python3 tools/analyzer/papyrus_analyze.py --diff-base HEAD \
   --json build/analyze_findings.json
 
-stage build-test "[3/8] build + ctest"
+stage build-test "[2/7] build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
@@ -117,7 +111,7 @@ if ! PAPYRUSKV_OBS="${FLIGHT_DIR}/ctest,50" \
   exit 1
 fi
 
-stage fault "[4/8] fault matrix (PAPYRUSKV_FAULTS=${FAULT_PROFILE})"
+stage fault "[3/7] fault matrix (PAPYRUSKV_FAULTS=${FAULT_PROFILE})"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
 if ! PAPYRUSKV_FAULTS="${FAULT_PROFILE}" PAPYRUSKV_FAULT_SEED="${FAULT_SEED}" \
     PAPYRUSKV_OBS="${FLIGHT_DIR}/fault,50" \
@@ -129,7 +123,7 @@ if ! PAPYRUSKV_FAULTS="${FAULT_PROFILE}" PAPYRUSKV_FAULT_SEED="${FAULT_SEED}" \
   exit 1
 fi
 
-stage tsa "[5/8] clang thread-safety analysis"
+stage tsa "[4/7] clang thread-safety analysis"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
         -DPAPYRUS_THREAD_SAFETY=ON >/dev/null
@@ -140,7 +134,7 @@ else
   SKIPPED+=(thread-safety)
 fi
 
-stage clang-tidy "[6/8] clang-tidy"
+stage clang-tidy "[5/7] clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1 && [ -f build-tsa/compile_commands.json ]; then
   find src tools -name '*.cc' -print0 |
     xargs -0 -n 8 -P "${JOBS}" clang-tidy -p build-tsa --quiet
@@ -149,7 +143,7 @@ else
   SKIPPED+=(clang-tidy)
 fi
 
-stage sanitizers "[7/8] sanitizers"
+stage sanitizers "[6/7] sanitizers"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 export ASAN_OPTIONS="halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
@@ -163,7 +157,7 @@ for san in thread address undefined; do
   done
 done
 
-stage bench "[8/8] bench snapshots (BENCH_*.json)"
+stage bench "[7/7] bench snapshots (BENCH_*.json)"
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "${BENCH_TMP}"' EXIT
 # micro_kv with every observability channel on (stats, causal trace, 20ms

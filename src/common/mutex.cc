@@ -11,7 +11,7 @@
 //
 // The validator's own bookkeeping lock is a raw std::mutex, deliberately
 // outside the wrapper: it is a leaf acquired only inside the hooks, and
-// instrumenting it would recurse.  // lint:allow-raw-mutex
+// instrumenting it would recurse.  // analyze:allow-raw-mutex
 //
 // Everything here is always compiled (so instrumented and uninstrumented
 // translation units link together); the hooks are only *called* from code
@@ -45,7 +45,7 @@ struct Edge {
 };
 
 struct Graph {
-  std::mutex mu;  // lint:allow-raw-mutex (validator-internal leaf lock)
+  std::mutex mu;  // analyze:allow-raw-mutex: validator-internal leaf lock
   // adj[a][b] exists iff "a acquired before b" has been observed.
   std::unordered_map<const void*, std::unordered_map<const void*, Edge>> adj;
   std::unordered_map<const void*, const char*> names;

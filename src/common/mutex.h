@@ -1,5 +1,5 @@
 // Annotated synchronization primitives — the only locking layer src/ may
-// use (tools/papyrus_lint.py rejects raw std::mutex outside this file).
+// use (papyrus_analyze's raw-mutex rule rejects std::mutex outside it).
 //
 // Three things in one wrapper, RocksDB/absl port-layer style:
 //   1. Clang thread-safety capability annotations (thread_annotations.h):

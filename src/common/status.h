@@ -43,7 +43,7 @@ const char* ErrorName(int32_t code);
 // Success carries no message and never allocates.
 //
 // [[nodiscard]]: silently dropping a Status hides I/O and network failures
-// (exactly the bug class the lint gate exists for).  The rare call site
+// (exactly the bug class the analyzer gate exists for).  The rare call site
 // that genuinely cannot act on the error calls IgnoreError() to say so.
 class [[nodiscard]] Status {
  public:

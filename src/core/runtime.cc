@@ -238,7 +238,7 @@ void KvRuntime::StopThreads() {
   stop_mig.shutdown = true;
   migration_queue_.Push(std::move(stop_mig));
   // The handler exits on a self-addressed shutdown request.
-  req_comm_.Send(ctx_.rank, kOpShutdown, Slice());  // lint:allow-direct-send
+  req_comm_.Send(ctx_.rank, kOpShutdown, Slice());  // analyze:allow-direct-send
   compaction_thread_.join();
   dispatcher_thread_.join();
   handler_thread_.join();
@@ -692,13 +692,13 @@ void KvRuntime::SendRequest(int dst, int op, const Slice& payload) {
   const int slot = (op >= 1 && op <= kOpMax) ? op : 0;
   c_req_msgs_[slot]->Inc();
   c_req_bytes_[slot]->Inc(payload.size());
-  req_comm_.Send(dst, op, payload);  // lint:allow-direct-send
+  req_comm_.Send(dst, op, payload);  // analyze:allow-direct-send
 }
 
 void KvRuntime::SendResponse(int dst, int tag, const Slice& payload) {
   c_resp_msgs_->Inc();
   c_resp_bytes_->Inc(payload.size());
-  resp_comm_.Send(dst, tag, payload);  // lint:allow-direct-send
+  resp_comm_.Send(dst, tag, payload);  // analyze:allow-direct-send
 }
 
 Status KvRuntime::RequestReply(int dst, int op, const Slice& payload,
@@ -879,7 +879,7 @@ Status KvRuntime::SignalNotify(int signum, const int* ranks, int count) {
     if (ranks[i] < 0 || ranks[i] >= size()) {
       return Status::InvalidArg("signal_notify: bad rank");
     }
-    signal_comm_.Send(ranks[i], signum, Slice());  // lint:allow-direct-send
+    signal_comm_.Send(ranks[i], signum, Slice());  // analyze:allow-direct-send
   }
   return Status::OK();
 }

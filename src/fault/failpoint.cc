@@ -1,7 +1,7 @@
 #include "fault/failpoint.h"
 
 #include <cstdlib>
-#include <mutex>  // lint:allow-raw-mutex: std::call_once flag only, no locking
+#include <mutex>  // analyze:allow-raw-mutex: call_once flag only, no locking
 #include <sstream>
 
 #include "common/env.h"

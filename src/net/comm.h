@@ -98,7 +98,7 @@ class Communicator {
   void Send(int dst, int tag, const Slice& payload) const;
 
   // Blocking receive with MPI matching rules.  Prefer RecvFor on any path
-  // where the expected message can be lost (the lint gate rejects new naked
+  // where the expected message can be lost (the analyzer rejects new naked
   // Recv call sites outside this module).
   Message Recv(int src = kAnySource, int tag = kAnyTag) const;
   // Non-blocking probe+receive.

@@ -106,7 +106,7 @@ class TraceBuffer {
   }
 
   // Records a complete span.  No-op while disabled.  Overwrites the oldest
-  // event when full.  Only src/obs/ may call this directly (lint rule
+  // event when full.  Only src/obs/ may call this directly (analyzer rule
   // trace-add): everything else goes through TraceSpan / OpSpan so spans
   // carry contexts consistently.
   void Add(std::string name, const char* cat, uint64_t ts_us,

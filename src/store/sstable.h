@@ -117,11 +117,11 @@ class SSTableReader {
   // store-released, after which readers acquire-load the flag and read the
   // now-immutable vector with no lock.  A failed load leaves index_ready_
   // false so a later call retries.
-  // lint:unguarded-ok — serializes the load only; nothing is
+  // analyze:allow-unguarded-mutex: serializes the load only; nothing is
   // guarded by it after index_ready_ is published.
-  Mutex index_mu_{"sstable_index_mu"};  // lint:unguarded-ok
+  Mutex index_mu_{"sstable_index_mu"};
   std::atomic<bool> index_ready_{false};
-  std::vector<IndexEntry> index_;  // lint:unguarded-ok (immutable once published)
+  std::vector<IndexEntry> index_;  // immutable once published
 };
 
 using SSTablePtr = std::shared_ptr<SSTableReader>;

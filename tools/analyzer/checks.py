@@ -3,7 +3,7 @@
 Each check takes the Model from cxx_model (optionally refined by
 clang_frontend) and yields Violation objects.  Every rule has a per-line
 escape comment `// analyze:allow-<rule>[: reason]`, honored on the
-violating line or the immediately preceding pure-comment line.
+violating line or in the contiguous pure-comment block above it.
 
 Rules:
   guarded-by         A member field directly written while a *sibling*
@@ -92,7 +92,7 @@ class Violation:
         self.rule = rule
         self.relpath = relpath
         self.line = line
-        self.token = token   # stable identity for baseline matching
+        self.token = token   # stable identity (the --json `key`)
         self.msg = msg
 
     @property
@@ -188,7 +188,7 @@ def check_guarded_by(model):
                     continue
                 if fm.escape(lineno, "guarded-by"):
                     continue
-                decl_fm = model.files.get(cls.relpath)
+                decl_fm = model.files.get(field.relpath)
                 if decl_fm and decl_fm.escape(field.line, "guarded-by"):
                     continue
                 out.append(Violation(
@@ -198,7 +198,7 @@ def check_guarded_by(model):
                     "declaration (%s:%d) has no GUARDED_BY — TSA cannot "
                     "check what is not annotated" %
                     (name, fn.qualname, "/".join(sorted(held_at[i])),
-                     cls.relpath, field.line)))
+                     field.relpath, field.line)))
     return out
 
 
@@ -581,10 +581,6 @@ def check_wire_version(model, diff_text, guard_files=WIRE_GUARD_FILES,
                 (fn.name, hit[0], version_token,
                  ", ".join(guard_files))))
     return out
-
-
-ALL_CHECKS = ("guarded-by", "status-discard", "codec-symmetry",
-              "pipeline-blocking", "wire-version")
 
 
 def run_all(model, diff_text=None):

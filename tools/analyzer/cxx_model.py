@@ -3,12 +3,12 @@
 Produces the micro-AST ("Model") that the semantic checks in checks.py
 consume: classes with their fields, thread-safety annotations and mutex
 members; function definitions (free, qualified out-of-line, and inline
-methods) with their body lines, brace-depth profile and call tokens; and a
-per-line comment side table (escape comments and why-comments live in
-comments, which the code view strips).
+methods) with their body lines, brace-depth profile and call tokens; and
+per-line side tables for comments (escape comments and why-comments live
+in comments, which the code view strips) and preprocessor directives.
 
 This frontend is deliberately *structural*, not a full parser: it
-tokenizes accurately enough for the five papyrus_analyze checks (string/
+tokenizes accurately enough for the papyrus_analyze rules (string/
 char/comment-safe brace matching, statement accumulation, one level of
 class nesting) and leans on the repo's own conventions (member fields end
 in `_`, locking goes through papyrus::Mutex + MutexLock).  When python
@@ -34,13 +34,15 @@ CALL_EX_RE = re.compile(r"(?:\b(\w+)\s*(\.|->|::)\s*)?\b([A-Za-z_]\w*)\s*\(")
 
 
 class FileModel:
-    """One sanitized source file: code lines + comment side table."""
+    """One sanitized source file: code lines + comment and directive
+    side tables."""
 
     def __init__(self, path, relpath):
         self.path = path
         self.relpath = relpath
         self.code = []       # code with comments/strings blanked, 0-indexed
         self.comments = {}   # lineno (1-based) -> comment text on that line
+        self.directives = {}  # lineno (1-based) -> sanitized `#...` line
 
     def comment(self, lineno):
         return self.comments.get(lineno, "")
@@ -76,9 +78,10 @@ class FileModel:
 
 
 class Field:
-    def __init__(self, name, decl_text, line):
+    def __init__(self, name, decl_text, relpath, line):
         self.name = name
         self.decl_text = decl_text
+        self.relpath = relpath
         self.line = line
         self.guarded_by = None   # mutex name from GUARDED_BY/PT_GUARDED_BY
         m = re.search(r"\b(?:PT_)?GUARDED_BY\s*\(\s*([\w.\->]+)\s*\)",
@@ -102,6 +105,7 @@ class ClassModel:
         self.line = line
         self.fields = {}          # name -> Field
         self.mutexes = set()      # names of Mutex/SharedMutex members
+        self.annotated = set()    # identifiers any TSA annotation names
         self.method_annots = {}   # method name -> {"requires": [...],
         #                           "release": [...], "acquire": [...]}
 
@@ -109,6 +113,7 @@ class ClassModel:
         """Same class seen in another file (fwd decl / reopen): merge."""
         self.fields.update(other.fields)
         self.mutexes.update(other.mutexes)
+        self.annotated.update(other.annotated)
         for k, v in other.method_annots.items():
             self.method_annots.setdefault(k, v)
 
@@ -218,107 +223,92 @@ class Model:
 # Sanitizer: strip comments / strings / preprocessor, keep a comment table.
 # ---------------------------------------------------------------------------
 
+# What ends a run of plain characters in each sanitizer state.
+_SANITIZE_STOP = {
+    "code": re.compile(r"//|/\*|[\"'\n]"),
+    "line_comment": re.compile(r"\n"),
+    "block_comment": re.compile(r"\*/|\n"),
+    "string": re.compile(r"[\\\"\n]"),
+    "char": re.compile(r"[\\'\n]"),
+}
+_OPENS = {"//": "line_comment", "/*": "block_comment", '"': "string",
+          "'": "char"}
+
+
 def sanitize(text):
-    """Returns (code_lines, comments) where code_lines have comments,
-    string/char literal contents and preprocessor lines blanked (line
-    structure preserved) and comments maps 1-based line -> comment text."""
+    """Returns (code_lines, comments, directives) where code_lines have
+    comments, string/char literal contents and preprocessor lines blanked
+    (line structure preserved), comments maps 1-based line -> comment text
+    and directives maps 1-based line -> the blanked preprocessor line."""
     code = []
     comments = {}
-    i = 0
-    n = len(text)
     line = []
     comment_buf = []
-    lineno = 1
     state = "code"  # code | line_comment | block_comment | string | char
 
     def flush_line():
-        nonlocal line, comment_buf, lineno
         code.append("".join(line))
-        if comment_buf:
-            comments[lineno] = comments.get(lineno, "") + "".join(comment_buf)
-        line = []
-        comment_buf = []
-        lineno += 1
+        note = "".join(comment_buf)
+        if note:
+            comments[len(code)] = comments.get(len(code), "") + note
+        line.clear()
+        comment_buf.clear()
 
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "\n":
+    i = 0
+    while i < len(text):
+        m = _SANITIZE_STOP[state].search(text, i)
+        run = text[i:m.start() if m else len(text)]
+        if state == "code":
+            line.append(run)
+        elif state == "line_comment":
+            comment_buf.append(run)
+        else:
+            line.append(" " * len(run))
+            if state == "block_comment":
+                comment_buf.append(run)
+        if m is None:
+            break
+        tok = m.group()
+        i = m.end()
+        if tok == "\n":
             if state == "line_comment":
                 state = "code"
             flush_line()
+        elif state == "code":
+            state = _OPENS[tok]
+            if tok != "//":
+                line.append("  " if tok == "/*" else tok)
+        elif tok == "*/":
+            state = "code"
+            line.append("  ")
+        elif tok == "\\":
+            # An escape blanks itself and the character after it (a
+            # newline included, which then does not end the line).
+            line.append("  ")
             i += 1
-            continue
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                line.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                line.append('"')
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                line.append("'")
-                i += 1
-                continue
-            line.append(c)
-            i += 1
-        elif state == "line_comment":
-            comment_buf.append(c)
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                line.append("  ")
-                i += 2
-            else:
-                comment_buf.append(c)
-                line.append(" ")
-                i += 1
-        elif state == "string":
-            if c == "\\":
-                line.append("  ")
-                i += 2
-            elif c == '"':
-                state = "code"
-                line.append('"')
-                i += 1
-            else:
-                line.append(" ")
-                i += 1
-        elif state == "char":
-            if c == "\\":
-                line.append("  ")
-                i += 2
-            elif c == "'":
-                state = "code"
-                line.append("'")
-                i += 1
-            else:
-                line.append(" ")
-                i += 1
-    if line or comment_buf:
+        else:  # the closing quote
+            state = "code"
+            line.append(tok)
+    if "".join(line) or "".join(comment_buf):
         flush_line()
     # Blank preprocessor lines (a #define with an unbalanced brace would
     # desynchronize the structural scan).
+    directives = {}
     for idx, ln in enumerate(code):
         if re.match(r"\s*#", ln):
+            directives[idx + 1] = ln
             code[idx] = ""
-    return code, comments
+    return code, comments, directives
 
 
 # ---------------------------------------------------------------------------
 # Structural scan.
 # ---------------------------------------------------------------------------
 
+_ACCESS_LABELS = ("public", "private", "protected")
+_BRACE_RE = re.compile(r"[{}]")
+_STOP_RE = re.compile(r"[;{}]")
+_CLASS_STOP_RE = re.compile(r"[;{}:]")
 _MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:papyrus::)?(?:common::)?(?:Shared)?Mutex\s+(\w+)")
 _FIELD_RE = re.compile(r"\b(\w+_)\s*(?:GUARDED_BY|PT_GUARDED_BY|=|\{|;|$)")
@@ -331,13 +321,19 @@ _ANNOTATION_MACRO_RE = re.compile(
     r"\b(?:(?:PT_)?GUARDED_BY|REQUIRES(?:_SHARED)?|ACQUIRE(?:_SHARED)?"
     r"|RELEASE(?:_SHARED|_GENERIC)?|TRY_ACQUIRE(?:_SHARED)?|EXCLUDES"
     r"|ASSERT_CAPABILITY|RETURN_CAPABILITY|LOCKABLE|SCOPED_LOCKABLE"
-    r"|NO_THREAD_SAFETY_ANALYSIS)\s*(?:\([^)]*\))?")
+    r"|NO_THREAD_SAFETY_ANALYSIS)\s*(?:\(([^)]*)\))?")
 
 
 def _strip_annotations(text):
     """Removes thread-safety annotation macros so their parens don't make
     a field declaration look like a method declaration."""
     return _ANNOTATION_MACRO_RE.sub("", text)
+
+
+def _annotation_refs(text):
+    """Every identifier named inside a thread-safety annotation in text."""
+    return {ident for m in _ANNOTATION_MACRO_RE.finditer(text)
+            if m.group(1) for ident in re.findall(r"\w+", m.group(1))}
 
 
 def _method_annotations(decl_text):
@@ -361,120 +357,112 @@ class _Scanner:
         self.pos_line = 0   # 0-based
         self.pos_col = 0
 
-    def _next_char(self):
-        """Yields (lineno0, col, char) over the code, or None at EOF.
-        Emits a synthetic space at each end-of-line so multi-line
-        statements don't glue adjacent tokens together."""
-        while self.pos_line < len(self.lines):
-            ln = self.lines[self.pos_line]
-            if self.pos_col < len(ln):
-                c = ln[self.pos_col]
-                pos = (self.pos_line, self.pos_col, c)
-                self.pos_col += 1
-                return pos
-            pos = (self.pos_line, self.pos_col, " ")
-            self.pos_line += 1
-            self.pos_col = 0
-            return pos
-        return None
-
     def scan(self):
         self._scan_region(class_ctx=None, stop_at_close=False)
 
-    def _skip_balanced(self, fn=None):
-        """Consumes chars until the brace opened just before balances.
-        If fn is given, records body lines/depths into it."""
+    def _braces(self):
+        """Yields (lineno0, match-or-None) for every `{`/`}` from the
+        current position on, advancing past each one; None marks an end of
+        line (the position then moves to the next line)."""
+        while self.pos_line < len(self.lines):
+            lnum = self.pos_line
+            m = _BRACE_RE.search(self.lines[lnum], self.pos_col)
+            if m is None:
+                self.pos_line += 1
+                self.pos_col = 0
+            else:
+                self.pos_col = m.end()
+            yield lnum, m
+
+    def _skip_balanced(self):
+        """Consumes code until the brace opened just before balances."""
         depth = 1
-        start_line = self.pos_line
-        if fn is not None:
-            fn.depth_at = {}
-        while True:
-            nxt = self._next_char()
-            if nxt is None:
+        for _, m in self._braces():
+            if m is None:
+                continue
+            depth += 1 if m.group() == "{" else -1
+            if depth == 0:
                 return
-            lnum, _, c = nxt
-            if fn is not None and lnum != start_line:
-                pass
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    if fn is not None:
-                        fn.end_line = lnum + 1
-                    return
 
     def _capture_function(self, fn, open_line0):
         """Captures body lines with per-line brace depth (depth relative to
-        the function body; opening { is depth 0 -> 1)."""
+        the function body; opening { is depth 0 -> 1).  Each body line runs
+        to its end plus one space (the statement scan's token separator);
+        the last one stops just before the closing `}`."""
         depth = 1
-        cur_line = open_line0
         fn.body = []
         fn.depth = []
         line_start_depth = depth
-        # Remainder of the opening line after '{' is part of the body.
-        buf = []
-        while True:
-            nxt = self._next_char()
-            if nxt is None:
-                break
-            lnum, _, c = nxt
-            if lnum != cur_line:
-                fn.body.append((cur_line + 1, "".join(buf)))
+        col = self.pos_col  # the rest of the opening line is body too
+        for lnum, m in self._braces():
+            ln = self.lines[lnum]
+            if m is None:
+                if lnum + 1 == len(self.lines):
+                    return  # unbalanced at EOF: the open line is dropped
+                fn.body.append((lnum + 1, ln[col:] + " "))
                 fn.depth.append(line_start_depth)
-                # Any skipped (empty) lines keep the model line-accurate.
-                for skipped in range(cur_line + 1, lnum):
-                    fn.body.append((skipped + 1, ""))
-                    fn.depth.append(depth)
-                cur_line = lnum
-                buf = []
                 line_start_depth = depth
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    fn.body.append((cur_line + 1, "".join(buf)))
-                    fn.depth.append(line_start_depth)
-                    fn.end_line = cur_line + 1
-                    return
-            buf.append(c)
+                col = 0
+                continue
+            depth += 1 if m.group() == "{" else -1
+            if depth == 0:
+                fn.body.append((lnum + 1, ln[col:m.start()]))
+                fn.depth.append(line_start_depth)
+                fn.end_line = lnum + 1
+                return
 
     def _scan_region(self, class_ctx, stop_at_close):
         """Scans a namespace/global or class body, dispatching on braces."""
         stmt = []          # accumulated header text since last ; { }
         stmt_line = None   # 1-based line where the accumulation started
-        while True:
-            nxt = self._next_char()
-            if nxt is None:
-                return
-            lnum, _, c = nxt
+        stop_re = _CLASS_STOP_RE if class_ctx is not None else _STOP_RE
+        while self.pos_line < len(self.lines):
+            lnum = self.pos_line
+            ln = self.lines[lnum]
+            m = stop_re.search(ln, self.pos_col)
+            chunk = ln[self.pos_col:m.start() if m else len(ln)]
+            if stmt_line is None and chunk.strip():
+                stmt_line = lnum + 1
+            stmt.append(chunk)
+            if m is None:
+                # A space at each end of line keeps a multi-line
+                # statement's tokens apart.
+                stmt.append(" ")
+                self.pos_line += 1
+                self.pos_col = 0
+                continue
+            self.pos_col = m.end()
+            c = m.group()
             if c == ";":
-                if stmt:
+                text = "".join(stmt)
+                if text:
                     if class_ctx is not None:
-                        self._class_member(class_ctx, "".join(stmt),
+                        self._class_member(class_ctx, text,
                                            stmt_line or lnum + 1)
                     else:
-                        self._free_decl(" ".join("".join(stmt).split()))
+                        self._free_decl(" ".join(text.split()))
                 stmt = []
                 stmt_line = None
-                continue
-            if c == "}":
+            elif c == "}":
                 if stop_at_close:
                     return
                 stmt = []
                 stmt_line = None
-                continue
-            if c == "{":
+            elif c == ":":
+                if "".join(stmt).strip() in _ACCESS_LABELS:
+                    # An access label ends no statement, but the member
+                    # after it starts on its own line.
+                    stmt = []
+                    stmt_line = None
+                else:
+                    stmt_line = stmt_line or lnum + 1
+                    stmt.append(c)
+            else:
                 text = " ".join("".join(stmt).split())
                 line1 = stmt_line or (lnum + 1)
                 stmt = []
                 stmt_line = None
                 self._dispatch_brace(text, line1, lnum, class_ctx)
-                continue
-            if not c.isspace() and stmt_line is None:
-                stmt_line = lnum + 1
-            stmt.append(c)
 
     def _dispatch_brace(self, text, decl_line, open_line0, class_ctx):
         # namespace / extern "C" -> recurse transparently
@@ -520,6 +508,7 @@ class _Scanner:
             if class_ctx is not None:
                 class_ctx.method_annots.setdefault(
                     name, _method_annotations(text))
+                class_ctx.annotated |= _annotation_refs(text)
             return
         # anything else (array init, lambda-ish, control at odd scope): skip
         self._skip_balanced()
@@ -563,16 +552,15 @@ class _Scanner:
 
     def _class_member(self, cm, text, line):
         text = " ".join(text.split())
-        # Access labels are not statement separators; shed them.
-        text = re.sub(r"^(?:public|private|protected)\s*:\s*", "", text)
-        if not text or text.startswith(("public", "private", "protected",
-                                        "friend", "using", "typedef",
+        if not text or text.startswith(("friend", "using", "typedef",
                                         "static_assert", "template")):
             return
+        cm.annotated |= _annotation_refs(text)
         mm = _MUTEX_MEMBER_RE.match(text)
         if mm:
             cm.mutexes.add(mm.group(1))
-            cm.fields[mm.group(1)] = Field(mm.group(1), text, line)
+            cm.fields[mm.group(1)] = Field(mm.group(1), text,
+                                           self.fm.relpath, line)
             return
         # Pure method declaration (no body in this file): record its
         # annotations and return type.  Annotation macros carry parens of
@@ -590,7 +578,7 @@ class _Scanner:
         fm = _FIELD_RE.search(_strip_annotations(text) + " ")
         if fm:
             name = fm.group(1)
-            cm.fields[name] = Field(name, text, line)
+            cm.fields[name] = Field(name, text, self.fm.relpath, line)
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +589,13 @@ def parse_file(path, relpath, model):
     with open(path, encoding="utf-8", errors="replace") as f:
         text = f.read()
     fm = FileModel(path, relpath)
-    fm.code, fm.comments = sanitize(text)
+    fm.code, fm.comments, fm.directives = sanitize(text)
     model.files[relpath] = fm
     _Scanner(fm, model).scan()
     return fm
 
 
-def iter_sources(roots, skip_dirs=("build", ".git", "fixture",
-                                   "lint_fixture")):
+def iter_sources(roots, skip_dirs=("build", ".git", "fixture")):
     for root in roots:
         if os.path.isfile(root):
             yield root

@@ -1,5 +1,6 @@
 // Fixture: must stay clean — every field written under a lock is
-// annotated, atomics are exempt, and lock-free writes need nothing.
+// annotated, atomics are exempt, lock-free writes need nothing, and the
+// header carries its include guard and leaks no namespace.
 #pragma once
 
 #include <atomic>
@@ -45,7 +46,7 @@ class Counter {
   }
 
  private:
-  Mutex mu_;
+  Mutex mu_{"fixture_counter_mu"};
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t peak_ GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> spins_{0};

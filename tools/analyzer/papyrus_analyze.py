@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""papyrus_analyze — semantic analyzer for the PapyrusKV tree.
+"""papyrus_analyze — the static analyzer for the PapyrusKV tree.
 
-Nine repo-specific checks the regex lint (tools/papyrus_lint.py) cannot
-express.  Intra-process (checks.py, DESIGN.md §10): guarded-by
+Fifteen repo-specific rules in one catalogue (ALL_CHECKS), three
+families.  Intra-process (checks.py, DESIGN.md §10): guarded-by
 completeness, status-discard discipline, codec symmetry,
 pipeline-blocking reachability, wire-version discipline.  Message-flow
 (protocol_checks.py, DESIGN.md §11): proto-handler opcode coverage,
-proto-resp-tag discipline, proto-deadlock shapes, and proto-spec-drift
-against the committed PROTOCOL.json / docs/PROTOCOL.md.
+proto-resp-tag discipline, proto-deadlock shapes, proto-spec-drift
+against the committed PROTOCOL.json / docs/PROTOCOL.md, and direct-send.
+Tree hygiene (tree_checks.py, DESIGN.md §7): raw-mutex, unguarded-mutex,
+using-namespace, include-guard, trace-add.
+
+Scope: the intra-process and message-flow rules model the files under
+src/ only; the tree-hygiene rules read every given file.  With no path
+arguments the roots are src tests tools bench examples.
 
 Frontend seam: the analyzer always runs on the built-in structural C++
 frontend (cxx_model.py — a real tokenizer/scoper, not line regexes).
@@ -18,13 +24,10 @@ else is frontend-independent.  The container gate therefore never skips
 this stage — clang only sharpens it.
 
 Usage:
-  papyrus_analyze.py [paths...]            analyze (default roots: src)
-  papyrus_analyze.py --self-test           run the full fixture suite
-  papyrus_analyze.py --self-test-protocol  protocol fixtures only
+  papyrus_analyze.py [paths...]            analyze (default: TREE_ROOTS)
+  papyrus_analyze.py --self-test           run the fixture suite
   papyrus_analyze.py --diff-base REF       also run wire-version vs git REF
   papyrus_analyze.py --diff-file F         wire-version against a saved diff
-  papyrus_analyze.py --baseline FILE       suppress known findings
-  papyrus_analyze.py --write-baseline      rewrite baseline from findings
   papyrus_analyze.py --write-spec          regenerate PROTOCOL.json + docs
   papyrus_analyze.py --json FILE           also write findings as JSON
   papyrus_analyze.py --frontend auto|text|clang
@@ -32,15 +35,18 @@ Usage:
 Exit codes: 0 clean, 1 violations, 2 usage/environment error (stable —
 CI and the --json archive rely on them).
 
-Escapes: `// analyze:allow-<rule>[: reason]` on the violating line or the
-immediately preceding pure-comment line.
+Escapes: `// analyze:allow-<rule>[: reason]` on the violating line or in
+the contiguous pure-comment block above it — the one way to silence a
+finding.
 """
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,41 +54,37 @@ import checks
 import cxx_model
 import protocol_checks
 import protocol_model
+import tree_checks
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fixture")
-DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "baseline.txt")
-DEFAULT_ROOTS = ("src",)
+TREE_ROOTS = ("src", "tests", "tools", "bench", "examples")
+# The semantic model (intra-process + message-flow rules) covers src/ only.
+SRC_PREFIX = "src/"
 SPEC_JSON = os.path.join(REPO_ROOT, "PROTOCOL.json")
 SPEC_MD = os.path.join(REPO_ROOT, "docs", "PROTOCOL.md")
 # The spec-drift gate only makes sense on a model that actually contains
 # the wire layer; path-scoped runs (papyrus_analyze.py src/obs) skip it.
 SPEC_SOURCE = "src/core/wire.h"
 
-
-def load_baseline(path):
-    keys = set()
-    if not os.path.exists(path):
-        return keys
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                keys.add(line)
-    return keys
-
-
-def write_baseline(path, violations):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# papyrus_analyze baseline — one `rule|path|token` per "
-                "line.\n")
-        f.write("# Findings listed here are suppressed; burn this file "
-                "down, don't grow it.\n")
-        for v in sorted(violations, key=lambda v: v.key):
-            f.write(v.key + "\n")
+# The rule catalogue.  --self-test requires the bad_* fixtures to trip
+# exactly this set.
+ALL_CHECKS = (
+    # checks.py — intra-process
+    "guarded-by", "status-discard", "codec-symmetry", "pipeline-blocking",
+    "wire-version",
+    # protocol_checks.py — message flow
+    "proto-handler", "proto-resp-tag", "proto-deadlock", "proto-spec-drift",
+    "direct-send",
+    # tree_checks.py — tree hygiene
+    "raw-mutex", "unguarded-mutex", "using-namespace", "include-guard",
+    "trace-add",
+)
+# Rules with no source-line escape: wire-version's escape rides the diff it
+# reads, and spec drift is cleared by regenerating the spec.
+NO_LINE_ESCAPE = ("wire-version", "proto-spec-drift")
 
 
 def resolve_frontend(requested):
@@ -123,7 +125,16 @@ def git_diff(base):
     return proc.stdout
 
 
-def analyze(paths, diff_text, refine):
+def split_sources(roots):
+    """Source files under roots: (files under src/, every other file)."""
+    src, rest = [], []
+    for path in cxx_model.iter_sources(roots):
+        rel = os.path.relpath(path, REPO_ROOT)
+        (src if rel.startswith(SRC_PREFIX) else rest).append(path)
+    return src, rest
+
+
+def src_model(paths, refine):
     model = cxx_model.build_model(paths, REPO_ROOT)
     if refine is not None:
         try:
@@ -131,23 +142,31 @@ def analyze(paths, diff_text, refine):
         except Exception as exc:  # refinement must never break the run
             print("papyrus_analyze: clang refinement failed (%s); "
                   "continuing with text frontend" % exc, file=sys.stderr)
-    violations = checks.run_all(model, diff_text)
+    return model
+
+
+def run_rules(model, diff_text=None, spec_json=None, spec_md=None):
+    """Every rule in the catalogue over one model."""
+    vs = checks.run_all(model, diff_text)
     proto = protocol_model.build_protocol_model(model)
+    vs.extend(protocol_checks.run_all(model, proto, spec_json, spec_md))
+    vs.extend(tree_checks.run_all(model))
+    return vs
+
+
+def analyze(src, rest, diff_text, refine):
+    model = src_model(src, refine)
     has_wire = SPEC_SOURCE in model.files
-    violations.extend(protocol_checks.run_all(
-        model, proto,
-        spec_json_path=SPEC_JSON if has_wire else None,
-        spec_md_path=SPEC_MD if has_wire else None))
+    violations = run_rules(model, diff_text,
+                           SPEC_JSON if has_wire else None,
+                           SPEC_MD if has_wire else None)
+    violations.extend(
+        tree_checks.run_all(cxx_model.build_model(rest, REPO_ROOT)))
     return violations
 
 
 def write_spec(paths, refine):
-    model = cxx_model.build_model(paths, REPO_ROOT)
-    if refine is not None:
-        try:
-            refine(model, REPO_ROOT)
-        except Exception:
-            pass
+    model = src_model(paths, refine)
     if SPEC_SOURCE not in model.files:
         print("papyrus_analyze: --write-spec needs %s in the analyzed "
               "paths (run without path arguments)" % SPEC_SOURCE,
@@ -183,120 +202,127 @@ def write_json(path, violations, frontend):
 
 
 # ---------------------------------------------------------------------------
-# Self-test: every rule trips on its bad_ fixture, good_ fixtures and
-# escapes stay clean — same contract as papyrus_lint.py --self-test.
+# Self-test: the bad_* fixtures trip exactly the catalogue, the good_*
+# fixtures stay clean, and every escape in a good_* fixture is load-bearing.
 # ---------------------------------------------------------------------------
 
-def _fixture_run(name, diff_name=None, spec_json=None, spec_md=None):
-    """Runs both check families over one fixture file."""
-    path = os.path.join(FIXTURE_DIR, name)
+def _fixture_run(name, diff_name=None, spec_json=None, root=FIXTURE_DIR):
+    """Runs the whole catalogue over one fixture file under root.  A
+    fixture's path relative to root is its path for the scoped rules, so
+    fixture/src/core/ is inside the direct-send scope."""
     diff_text = None
     if diff_name:
         with open(os.path.join(FIXTURE_DIR, diff_name),
                   encoding="utf-8") as f:
             diff_text = f.read()
-    model = cxx_model.build_model([path], FIXTURE_DIR)
-    vs = checks.run_all(model, diff_text)
-    proto = protocol_model.build_protocol_model(model)
-    vs.extend(protocol_checks.run_all(
-        model, proto,
-        spec_json_path=os.path.join(FIXTURE_DIR, spec_json)
-        if spec_json else None,
-        spec_md_path=os.path.join(FIXTURE_DIR, spec_md)
-        if spec_md else None))
-    return vs
+    model = cxx_model.build_model([os.path.join(root, name)], root)
+    return run_rules(model, diff_text,
+                     os.path.join(FIXTURE_DIR, spec_json)
+                     if spec_json else None)
 
 
-# (fixture, optional diff, optional spec json, rules that MUST trip)
-INTRA_BAD_CASES = [
+_ESCAPE_RE = re.compile(r"analyze:allow-([\w-]+)")
+
+
+def _idle_escapes(name, diff_name, spec_json):
+    """(rules escaped in the fixture, those whose escape silences nothing):
+    with every escape in the file disabled, each escaped rule must trip."""
+    with open(os.path.join(FIXTURE_DIR, name), encoding="utf-8") as f:
+        text = f.read()
+    escaped = set(_ESCAPE_RE.findall(text))
+    if not escaped:
+        return escaped, set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text.replace("analyze:allow-", "analyze:disabled-"))
+        tripped = {v.rule for v in
+                   _fixture_run(name, diff_name, spec_json, root=tmp)}
+    return escaped, escaped - tripped
+
+
+# (fixture, optional diff, optional spec json, the rules it trips)
+BAD_CASES = [
     ("bad_guarded_by.h", None, None, {"guarded-by"}),
     ("bad_status_discard.cc", None, None, {"status-discard"}),
     ("bad_codec_asym.cc", None, None, {"codec-symmetry"}),
     ("bad_codec_records.cc", None, None, {"codec-symmetry"}),
-    ("bad_pipeline_block.cc", None, None, {"pipeline-blocking"}),
+    ("bad_pipeline_block.cc", None, None,
+     {"pipeline-blocking", "proto-deadlock"}),
     ("bad_sampler_lock.cc", None, None, {"pipeline-blocking"}),
     ("wire_fixture.cc", "bad_wire_version.diff", None, {"wire-version"}),
-]
-PROTO_BAD_CASES = [
     ("bad_proto_orphan.cc", None, None, {"proto-handler"}),
     ("bad_proto_resp_tag.cc", None, None, {"proto-resp-tag"}),
     ("bad_proto_collective.cc", None, None, {"proto-deadlock"}),
     ("bad_proto_recv_cycle.cc", None, None, {"proto-deadlock"}),
-    ("proto_fixture.cc", None, "bad_proto_spec.json",
-     {"proto-spec-drift"}),
+    ("proto_fixture.cc", None, "bad_proto_spec.json", {"proto-spec-drift"}),
+    ("src/core/bad_direct_send.cc", None, None, {"direct-send"}),
+    ("bad_raw_mutex.cc", None, None, {"raw-mutex"}),
+    ("bad_unguarded.h", None, None, {"unguarded-mutex"}),
+    ("bad_header.h", None, None, {"using-namespace", "include-guard"}),
+    ("bad_trace_add.cc", None, None, {"trace-add"}),
 ]
-INTRA_GOOD_CASES = [
+GOOD_CASES = [
     ("good_annotated.h", None, None),
     ("good_escapes.cc", None, None),
+    ("good_escapes.h", None, None),
     ("good_codec.cc", None, None),
     ("good_pipeline.cc", None, None),
     ("good_sampler.cc", None, None),
     ("wire_fixture.cc", "good_wire_version.diff", None),
-]
-PROTO_GOOD_CASES = [
     ("good_proto.cc", None, None),
+    ("src/core/good_direct_send.cc", None, None),
     ("proto_fixture.cc", None, "good_proto_spec.json"),
 ]
 
 
-def self_test(protocol_only=False):
+def self_test():
     if not os.path.isdir(FIXTURE_DIR):
         print("papyrus_analyze: fixture dir missing: %s" % FIXTURE_DIR,
               file=sys.stderr)
         return 2
 
     failures = []
-    bad_cases = PROTO_BAD_CASES if protocol_only \
-        else INTRA_BAD_CASES + PROTO_BAD_CASES
-    good_cases = PROTO_GOOD_CASES if protocol_only \
-        else INTRA_GOOD_CASES + PROTO_GOOD_CASES
-
-    for name, diff, spec, want in bad_cases:
+    tripped = set()
+    for name, diff, spec, want in BAD_CASES:
         got = {v.rule for v in _fixture_run(name, diff, spec)}
-        missing = want - got
-        if missing:
-            failures.append("fixture %s: expected rule(s) %s did not trip "
-                            "(got: %s)" % (name, sorted(missing),
-                                           sorted(got) or "nothing"))
-    for name, diff, spec in good_cases:
+        tripped |= got
+        if got != want:
+            failures.append("fixture %s: expected exactly %s, got %s"
+                            % (name, sorted(want), sorted(got)))
+    escaped = set()
+    for name, diff, spec in GOOD_CASES:
         vs = _fixture_run(name, diff, spec)
         if vs:
             failures.append("fixture %s: expected clean, got:\n  %s"
                             % (name, "\n  ".join(str(v) for v in vs)))
+        rules, idle = _idle_escapes(name, diff, spec)
+        escaped |= rules
+        if idle:
+            failures.append("fixture %s: escape(s) for %s silence nothing"
+                            % (name, sorted(idle)))
 
-    # The escape fixtures must actually contain escapes — for >=3
-    # intra-process rules and >=2 protocol rules — so a regression that
-    # stops honoring escapes cannot silently pass.
-    if not protocol_only:
-        with open(os.path.join(FIXTURE_DIR, "good_escapes.cc"),
-                  encoding="utf-8") as f:
-            escape_text = f.read()
-        escape_rules = {r for r in checks.ALL_CHECKS
-                        if "analyze:allow-" + r in escape_text}
-        if len(escape_rules) < 3:
-            failures.append("good_escapes.cc must exercise escapes for >=3 "
-                            "rules, found %s" % sorted(escape_rules))
-    with open(os.path.join(FIXTURE_DIR, "good_proto.cc"),
-              encoding="utf-8") as f:
-        proto_escape_text = f.read()
-    proto_escape_rules = {r for r in protocol_checks.PROTO_CHECKS
-                          if "analyze:allow-" + r in proto_escape_text}
-    if len(proto_escape_rules) < 2:
-        failures.append("good_proto.cc must exercise escapes for >=2 "
-                        "protocol rules, found %s"
-                        % sorted(proto_escape_rules))
+    # Coverage comes from the catalogue: a rule added without a bad_*
+    # fixture, or without an exercised escape, fails here.
+    catalogue = set(ALL_CHECKS)
+    if tripped != catalogue:
+        failures.append("bad_* fixtures never trip %s; unknown rules %s"
+                        % (sorted(catalogue - tripped),
+                           sorted(tripped - catalogue)))
+    unescaped = catalogue - set(NO_LINE_ESCAPE) - escaped
+    if unescaped:
+        failures.append("no good_* fixture exercises the escape for %s"
+                        % sorted(unescaped))
 
     if failures:
         print("papyrus_analyze --self-test FAILED:", file=sys.stderr)
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    n_rules = (len(protocol_checks.PROTO_CHECKS) if protocol_only
-               else len(checks.ALL_CHECKS)
-               + len(protocol_checks.PROTO_CHECKS))
-    print("papyrus_analyze --self-test%s OK (%d rules, %d bad fixtures, "
-          "%d good fixtures)" % ("-protocol" if protocol_only else "",
-                                 n_rules, len(bad_cases), len(good_cases)))
+    print("papyrus_analyze --self-test OK: %d rules, %d bad fixtures, %d "
+          "good fixtures\n  %s" % (len(ALL_CHECKS), len(BAD_CASES),
+                                   len(GOOD_CASES), " ".join(ALL_CHECKS)))
     return 0
 
 
@@ -304,15 +330,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="papyrus_analyze.py",
                                  description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*",
-                    help="files or directories (default: src)")
+                    help="files or directories (default: %s)"
+                    % " ".join(TREE_ROOTS))
     ap.add_argument("--self-test", action="store_true",
                     help="run the fixture suite and exit")
-    ap.add_argument("--self-test-protocol", action="store_true",
-                    help="run only the protocol fixture suite and exit")
-    ap.add_argument("--baseline", default=DEFAULT_BASELINE,
-                    help="suppression file (default: %(default)s)")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help="rewrite the baseline file from current findings")
     ap.add_argument("--write-spec", action="store_true",
                     help="regenerate PROTOCOL.json + docs/PROTOCOL.md "
                          "from the source and exit")
@@ -331,11 +352,8 @@ def main(argv=None):
 
     if args.self_test:
         return self_test()
-    if args.self_test_protocol:
-        return self_test(protocol_only=True)
 
-    roots = args.paths or [os.path.join(REPO_ROOT, r)
-                           for r in DEFAULT_ROOTS]
+    roots = args.paths or [os.path.join(REPO_ROOT, r) for r in TREE_ROOTS]
     for r in roots:
         if not os.path.exists(r):
             print("papyrus_analyze: no such path: %s" % r, file=sys.stderr)
@@ -349,41 +367,21 @@ def main(argv=None):
         diff_text = git_diff(args.diff_base)
 
     frontend, refine = resolve_frontend(args.frontend)
+    src, rest = split_sources(roots)
     if args.write_spec:
-        return write_spec(roots, refine)
-    violations = analyze(roots, diff_text, refine)
+        return write_spec(src, refine)
+    violations = analyze(src, rest, diff_text, refine)
 
     if args.json:
         write_json(args.json, violations, frontend)
-
-    if args.write_baseline:
-        write_baseline(args.baseline, violations)
-        print("papyrus_analyze: wrote %d suppression(s) to %s"
-              % (len(violations), args.baseline))
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    fresh = [v for v in violations if v.key not in baseline]
-    stale = baseline - {v.key for v in violations}
-
-    for v in fresh:
+    for v in violations:
         print(v)
-    if stale:
-        print("papyrus_analyze: %d stale baseline entr%s (fixed — remove "
-              "from %s):" % (len(stale), "y" if len(stale) == 1 else "ies",
-                             os.path.relpath(args.baseline, REPO_ROOT)),
-              file=sys.stderr)
-        for k in sorted(stale):
-            print("  " + k, file=sys.stderr)
-    if fresh:
+    if violations:
         print("papyrus_analyze: %d violation(s) [frontend: %s]"
-              % (len(fresh), frontend), file=sys.stderr)
+              % (len(violations), frontend), file=sys.stderr)
         return 1
-    print("papyrus_analyze: clean (%d file(s), frontend: %s, %d "
-          "baseline-suppressed)" % (
-              len({f for f in
-                   cxx_model.iter_sources(roots)}),
-              frontend, len(violations) - len(fresh)))
+    print("papyrus_analyze: clean (%d file(s), frontend: %s)"
+          % (len(src) + len(rest), frontend))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""protocol_checks — the four papyrus_analyze message-flow rules.
+"""protocol_checks — the five papyrus_analyze message-flow rules.
 
 Each check consumes the ProtocolModel from protocol_model.py (plus the
 cxx_model Model for escapes/comments) and yields checks.Violation objects.
@@ -26,6 +26,13 @@ Rules:
   proto-spec-drift  The committed PROTOCOL.json / docs/PROTOCOL.md must
                     match what the extractor reads from the source —
                     regenerate with `papyrus_analyze.py --write-spec`.
+  direct-send       A direct Communicator Send (receiver named *comm*) in
+                    src/core/ or src/repl/.  Remote requests from the KV
+                    layer go through the async pipeline (src/async/) or
+                    the runtime's SendRequest/SendResponse helpers, which
+                    add batching, per-op metrics, flight-recorder events
+                    and bounded retries; a replication frame sent raw
+                    would also race the pipeline's per-destination order.
 """
 
 import json
@@ -35,8 +42,9 @@ import re
 import protocol_model
 from checks import Violation
 
-PROTO_CHECKS = ("proto-handler", "proto-resp-tag", "proto-deadlock",
-                "proto-spec-drift")
+# The only layers direct-send constrains: the async pipeline and the net
+# layer are the two legitimate senders.
+DIRECT_SEND_SCOPE = ("src/core/", "src/repl/")
 
 
 def _fm(model, fn):
@@ -333,6 +341,26 @@ def check_spec_drift(proto, spec_json_path, spec_md_path=None):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Rule E: direct sends.
+# ---------------------------------------------------------------------------
+
+def check_direct_send(model, proto):
+    out = []
+    for s in proto.sends:
+        if s.via != "Send" or not s.fn.relpath.startswith(DIRECT_SEND_SCOPE):
+            continue
+        if _fm(model, s.fn).escape(s.line, "direct-send"):
+            continue
+        out.append(Violation(
+            "direct-send", s.fn.relpath, s.line,
+            "direct-send:%s@%d" % (s.fn.name, s.line),
+            "direct Communicator Send in %s — route through the async "
+            "pipeline (src/async/pipeline.h) or the runtime's "
+            "SendRequest/SendResponse" % s.fn.qualname))
+    return out
+
+
 def run_all(model, proto, spec_json_path=None, spec_md_path=None):
     out = []
     out.extend(check_handler_coverage(model, proto))
@@ -340,4 +368,5 @@ def run_all(model, proto, spec_json_path=None, spec_md_path=None):
     out.extend(check_deadlock(model, proto))
     if spec_json_path is not None:
         out.extend(check_spec_drift(proto, spec_json_path, spec_md_path))
+    out.extend(check_direct_send(model, proto))
     return out

@@ -286,7 +286,7 @@ def _scan_sends_recvs(proto, model):
         joined, index = _joined_body(fn)
         body_line = {i: ln for i, (ln, _) in enumerate(fn.body)}
         for m in re.finditer(
-                r"(?:\b([\w]+)\s*(?:\.|->)\s*)?"
+                r"(?:\b([\w]+)\s*(?:\(\s*\))?\s*(?:\.|->)\s*)?"
                 r"\b(Send|SendRequest|SendResponse|RequestReply|Recv|"
                 r"RecvInternal|TryRecv|RecvFor)\s*\(", joined):
             recv_name, call = m.group(1), m.group(2)
