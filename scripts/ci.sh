@@ -37,7 +37,10 @@
 #                  measurement under a 180s timeout (a hang archives its
 #                  obs dir and fails the stage) and the merged series is
 #                  re-rendered through papyrus_inspect --timeline, so the
-#                  whole observe-merge-render path gates CI
+#                  whole observe-merge-render path gates CI; then
+#                  perfbench --smoke runs of ingest (flush -> compaction
+#                  -> reopen -> read-back) and nvm_read (gets over
+#                  SSTables), each checking every value byte for byte
 #
 # Any stage failing fails the script (set -e); the summary line at the end
 # only prints on full success.  Stages skipped for missing toolchains are
@@ -196,6 +199,17 @@ head -12 "${BENCH_TMP}/rfo_merged.txt"
 grep -q "crash" "${BENCH_TMP}/rfo_merged.txt"  # overlay reached the render
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \
   BENCH_repl_failover.json
+# The store's chunked write / scan path end to end: perfbench exits
+# non-zero on any wrong, missing or failed result.
+for w in ingest nvm_read; do
+  if ! python3 perfbench/run.py --workload "${w}" --smoke --seed 1 \
+      --seconds 2 > "${BENCH_TMP}/perfbench_${w}.txt"; then
+    cat "${BENCH_TMP}/perfbench_${w}.txt"
+    echo "ci.sh: perfbench ${w} --smoke failed"
+    exit 1
+  fi
+  tail -1 "${BENCH_TMP}/perfbench_${w}.txt"
+done
 
 stage "" ""
 echo

@@ -289,15 +289,15 @@ Status KvRuntime::Restart(const std::string& path, const std::string& name,
           store::SSTablePtr reader;
           ts = store::Manifest::OpenForeign(src, ssid, &reader);
           if (!ts.ok()) break;
-          std::string key, value;
-          uint8_t rec_flags = 0;
-          for (size_t i = 0; i < reader->count() && ts.ok(); ++i) {
-            ts = reader->ReadEntry(i, &key, &value, &rec_flags);
+          store::SSTableReader::Scanner scan;
+          ts = scan.Open(std::move(reader));
+          while (ts.ok() && !scan.done()) {
+            ts = scan.Next();
             if (!ts.ok()) break;
-            if (rec_flags & store::kFlagTombstone) {
-              ts = db->Delete(key);
+            if (scan.flags() & store::kFlagTombstone) {
+              ts = db->Delete(scan.key());
             } else {
-              ts = db->Put(key, value);
+              ts = db->Put(scan.key(), scan.value());
             }
           }
           if (!ts.ok()) break;

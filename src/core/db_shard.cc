@@ -499,22 +499,32 @@ Status DbShard::SearchOwnSSTables(const Slice& key, std::string* value,
                                      ? store::SearchMode::kBinary
                                      : store::SearchMode::kLinear;
   // Highest SSID first: more recent pairs live in higher-numbered tables.
-  for (uint64_t ssid : manifest_.LiveSsids()) {
-    Status s = SearchOneTable(ssid, key, mode, value, tombstone, found);
-    if (s.IsNotFound()) continue;  // compacted away concurrently
-    if (!s.ok()) return s;
-    if (*found) {
-      m_.sstable_hits->Inc();
-      // §2.6: a pair found in an SSData file is inserted into the local
-      // cache (tombstones cached too — a known-deleted key should not
-      // walk every table again).  Skipped if any put/delete landed while
-      // we searched: our find may already be stale, and the writer's
-      // cache eviction may already have happened.
-      if (mutation_epoch_.load(std::memory_order_acquire) ==
-          epoch_at_start) {
-        cache_local_.Put(key, *value, *tombstone);
+  // A table compacted away after the snapshot reads NOT_FOUND; its pairs
+  // now live in the merged table, which is newer than the snapshot, so
+  // skipping it could miss the key: search again from a fresh snapshot.
+  bool compacted_away = true;
+  while (compacted_away) {
+    compacted_away = false;
+    for (uint64_t ssid : manifest_.LiveSsids()) {
+      Status s = SearchOneTable(ssid, key, mode, value, tombstone, found);
+      if (s.IsNotFound()) {
+        compacted_away = true;
+        break;
       }
-      return Status::OK();
+      if (!s.ok()) return s;
+      if (*found) {
+        m_.sstable_hits->Inc();
+        // §2.6: a pair found in an SSData file is inserted into the local
+        // cache (tombstones cached too — a known-deleted key should not
+        // walk every table again).  Skipped if any put/delete landed
+        // while we searched: our find may already be stale, and the
+        // writer's cache eviction may already have happened.
+        if (mutation_epoch_.load(std::memory_order_acquire) ==
+            epoch_at_start) {
+          cache_local_.Put(key, *value, *tombstone);
+        }
+        return Status::OK();
+      }
     }
   }
   return Status::OK();

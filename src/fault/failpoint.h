@@ -18,7 +18,10 @@
 // Registered points (see DESIGN.md §8 for the full fault model):
 //
 //   sstable.write.torn      zero the tail of an SSTable file write (the
-//                           record lands short; CRC catches it on read)
+//                           records there land short; CRC catches them on
+//                           read).  SSData is written in 64 KB chunks, so
+//                           this, bitflip and enospc fire once per chunk,
+//                           not once per record
 //   sstable.write.bitflip   flip one random bit in an SSTable file write
 //   storage.write.enospc    fail the write with an injected ENOSPC
 //   net.msg.drop            charge the interconnect but never deliver

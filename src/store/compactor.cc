@@ -11,28 +11,21 @@ namespace papyrus::store {
 
 namespace {
 
-// A sequential cursor over one input table.
+// A sequential cursor over one input table.  key()/value() view the
+// scanner's read-ahead buffer, so a cursor's record stays valid while it
+// sits in the heap and is copied only into the output chunk.
 struct Cursor {
-  SSTablePtr table;
-  size_t pos = 0;
-  std::string key;
-  std::string value;
-  uint8_t flags = 0;
-
-  bool exhausted() const { return pos >= table->count(); }
-
-  Status Load() {
-    return table->ReadEntry(pos, &key, &value, &flags);
-  }
+  uint64_t ssid = 0;
+  SSTableReader::Scanner scan;
 };
 
 // Heap order: smallest key first; among equal keys, highest SSID first so
 // the newest version pops first and older ones are skipped.
 struct HeapCmp {
   bool operator()(const Cursor* a, const Cursor* b) const {
-    const int c = Slice(a->key).compare(Slice(b->key));
+    const int c = a->scan.key().compare(b->scan.key());
     if (c != 0) return c > 0;
-    return a->table->ssid() < b->table->ssid();
+    return a->ssid < b->ssid;
   }
 };
 
@@ -50,19 +43,24 @@ Status MergeTables(Manifest& manifest,
   CompactionStats local;
   local.input_tables = input_ssids.size();
 
+  // Opening a scanner loads and CRC-checks the table's SSIndex, so an
+  // unreadable index fails the merge instead of reading as an empty table.
   std::vector<Cursor> cursors(input_ssids.size());
   size_t expected = 0;
   for (size_t i = 0; i < input_ssids.size(); ++i) {
-    Status s = manifest.GetReader(input_ssids[i], &cursors[i].table);
+    SSTablePtr table;
+    Status s = manifest.GetReader(input_ssids[i], &table);
+    if (s.ok()) s = cursors[i].scan.Open(std::move(table));
     if (!s.ok()) return s;
-    expected += cursors[i].table->count();
-    local.input_entries += cursors[i].table->count();
+    cursors[i].ssid = input_ssids[i];
+    expected += cursors[i].scan.count();
   }
+  local.input_entries = expected;
 
   std::priority_queue<Cursor*, std::vector<Cursor*>, HeapCmp> heap;
   for (auto& c : cursors) {
-    if (c.exhausted()) continue;
-    Status s = c.Load();
+    if (c.scan.done()) continue;
+    Status s = c.scan.Next();
     if (!s.ok()) return s;
     heap.push(&c);
   }
@@ -76,28 +74,30 @@ Status MergeTables(Manifest& manifest,
   while (!heap.empty()) {
     Cursor* c = heap.top();
     heap.pop();
+    const Slice key = c->scan.key();
+    const Slice value = c->scan.value();
+    const uint8_t flags = c->scan.flags();
 
-    const bool duplicate = any_emitted && c->key == last_emitted_key;
-    read_bytes += c->key.size() + c->value.size();
+    const bool duplicate = any_emitted && key == Slice(last_emitted_key);
+    read_bytes += key.size() + value.size();
     if (duplicate) {
       ++local.dropped_stale;
-    } else if (drop_tombstones && (c->flags & kFlagTombstone)) {
+    } else if (drop_tombstones && (flags & kFlagTombstone)) {
       ++local.dropped_tombstones;
       // Still record the key so older versions of it are dropped as stale.
-      last_emitted_key = c->key;
+      last_emitted_key.assign(key.data(), key.size());
       any_emitted = true;
     } else {
-      Status s = builder.Add(c->key, c->value, c->flags);
+      Status s = builder.Add(key, value, flags);
       if (!s.ok()) return s;
-      last_emitted_key = c->key;
+      last_emitted_key.assign(key.data(), key.size());
       any_emitted = true;
       ++local.output_entries;
-      written_bytes += c->key.size() + c->value.size();
+      written_bytes += key.size() + value.size();
     }
 
-    ++c->pos;
-    if (!c->exhausted()) {
-      Status s = c->Load();
+    if (!c->scan.done()) {
+      Status s = c->scan.Next();
       if (!s.ok()) return s;
       heap.push(c);
     }

@@ -15,8 +15,9 @@
 //   [u32 magic][u32 reserved][u64 count]
 //   count × [u64 data_offset][u32 keylen][u32 vallen][u8 flags]
 //   [u32 crc of all of the above]
-// The index is small (17 B/record) and loaded fully into memory on open
-// (paper §2.6: "PapyrusKV loads the SSIndex in memory and searches SSData").
+// The index is small (17 B/record) and loaded fully into memory on first
+// use, kept in this encoding (paper §2.6: "PapyrusKV loads the SSIndex in
+// memory and searches SSData").
 //
 // Bloom filter file layout: see bloom.h.
 #pragma once

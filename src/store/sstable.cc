@@ -10,6 +10,15 @@
 
 namespace papyrus::store {
 
+namespace {
+
+// SSIndex framing around the 17-byte entries: [u32 magic][u32 reserved]
+// [u64 count] before them, [u32 crc] after (format.h).
+constexpr size_t kSsIndexHeaderSize = 16;
+constexpr size_t kSsIndexOverhead = kSsIndexHeaderSize + 4;
+
+}  // namespace
+
 SSTableBuilder::SSTableBuilder(std::string dir, uint64_t ssid,
                                size_t expected_keys, int bloom_bits_per_key)
     : dir_(std::move(dir)),
@@ -18,43 +27,58 @@ SSTableBuilder::SSTableBuilder(std::string dir, uint64_t ssid,
   open_status_ =
       sim::Storage::NewWritableFile(dir_ + "/" + SsDataName(ssid_) + ".tmp",
                                     &data_file_);
+  chunk_.reserve(kSsDataChunkSize);
+  index_.reserve(kSsIndexOverhead + expected_keys * kIndexEntrySize);
+  PutFixed32(&index_, kSsIndexMagic);
+  PutFixed32(&index_, 0);
+  PutFixed64(&index_, 0);  // count, patched by Finish()
+}
+
+Status SSTableBuilder::FlushChunk() {
+  Status s = data_file_->Append(chunk_);
+  chunk_.clear();
+  return s;
 }
 
 Status SSTableBuilder::Add(const Slice& key, const Slice& value,
                            uint8_t flags) {
   if (!open_status_.ok()) return open_status_;
   assert(!finished_);
-  if (!last_key_.empty() || !index_.empty()) {
-    if (Slice(last_key_).compare(key) >= 0) {
-      return Status::InvalidArg("SSTable keys must be strictly ascending");
-    }
+  if (num_entries_ > 0 && Slice(last_key_).compare(key) >= 0) {
+    return Status::InvalidArg("SSTable keys must be strictly ascending");
   }
-  last_key_ = key.ToString();
+  last_key_.assign(key.data(), key.size());
 
-  // Record: [crc][keylen][vallen][flags][key][value]
-  std::string rec;
-  rec.reserve(kRecordHeaderSize + key.size() + value.size());
-  PutFixed32(&rec, 0);  // crc placeholder
-  PutFixed32(&rec, static_cast<uint32_t>(key.size()));
-  PutFixed32(&rec, static_cast<uint32_t>(value.size()));
-  rec.push_back(static_cast<char>(flags));
-  rec.append(key.data(), key.size());
-  rec.append(value.data(), value.size());
-  EncodeFixed32(rec.data(),
-                MaskCrc(Crc32c(rec.data() + 4, rec.size() - 4)));
+  // A record is never split across writes: one that does not fit in what
+  // is left of the chunk starts the next chunk, and one larger than a
+  // chunk is written on its own, so no record costs more than one write.
+  const size_t rec_size = kRecordHeaderSize + key.size() + value.size();
+  if (!chunk_.empty() && chunk_.size() + rec_size > kSsDataChunkSize) {
+    Status s = FlushChunk();
+    if (!s.ok()) return s;
+  }
 
-  IndexEntry e;
-  e.data_offset = data_offset_;
-  e.keylen = static_cast<uint32_t>(key.size());
-  e.vallen = static_cast<uint32_t>(value.size());
-  e.flags = flags;
-  index_.push_back(e);
+  // Record: [crc][keylen][vallen][flags][key][value], assembled in place;
+  // the CRC covers everything after itself.
+  const size_t start = chunk_.size();
+  PutFixed32(&chunk_, 0);  // crc placeholder
+  PutFixed32(&chunk_, static_cast<uint32_t>(key.size()));
+  PutFixed32(&chunk_, static_cast<uint32_t>(value.size()));
+  chunk_.push_back(static_cast<char>(flags));
+  chunk_.append(key.data(), key.size());
+  chunk_.append(value.data(), value.size());
+  EncodeFixed32(chunk_.data() + start,
+                MaskCrc(Crc32c(chunk_.data() + start + 4, rec_size - 4)));
+
+  PutFixed64(&index_, data_offset_);
+  PutFixed32(&index_, static_cast<uint32_t>(key.size()));
+  PutFixed32(&index_, static_cast<uint32_t>(value.size()));
+  index_.push_back(static_cast<char>(flags));
+  ++num_entries_;
   bloom_.Add(key);
+  data_offset_ += rec_size;
 
-  Status s = data_file_->Append(rec);
-  if (!s.ok()) return s;
-  data_offset_ += rec.size();
-  return Status::OK();
+  return chunk_.size() >= kSsDataChunkSize ? FlushChunk() : Status::OK();
 }
 
 Status SSTableBuilder::Finish() {
@@ -62,26 +86,18 @@ Status SSTableBuilder::Finish() {
   assert(!finished_);
   finished_ = true;
 
-  Status s = data_file_->Sync();
+  Status s = chunk_.empty() ? Status::OK() : FlushChunk();
+  if (!s.ok()) return s;
+  s = data_file_->Sync();
   if (!s.ok()) return s;
   s = data_file_->Close();
   if (!s.ok()) return s;
 
   // SSIndex.
-  std::string idx;
-  idx.reserve(16 + index_.size() * kIndexEntrySize + 4);
-  PutFixed32(&idx, kSsIndexMagic);
-  PutFixed32(&idx, 0);
-  PutFixed64(&idx, index_.size());
-  for (const IndexEntry& e : index_) {
-    PutFixed64(&idx, e.data_offset);
-    PutFixed32(&idx, e.keylen);
-    PutFixed32(&idx, e.vallen);
-    idx.push_back(static_cast<char>(e.flags));
-  }
-  PutFixed32(&idx, MaskCrc(Crc32c(idx.data(), idx.size())));
+  EncodeFixed64(index_.data() + 8, num_entries_);
+  PutFixed32(&index_, MaskCrc(Crc32c(index_.data(), index_.size())));
   s = sim::Storage::WriteStringToFile(dir_ + "/" + SsIndexName(ssid_) + ".tmp",
-                                      idx);
+                                      index_);
   if (!s.ok()) return s;
 
   // Bloom.
@@ -140,7 +156,21 @@ Status SSTableReader::Open(const std::string& dir, uint64_t ssid,
 
 size_t SSTableReader::count() {
   if (!EnsureIndexLoaded().ok()) return 0;
-  return index_.size();
+  return NumEntries();
+}
+
+size_t SSTableReader::NumEntries() const {
+  return (index_.size() - kSsIndexOverhead) / kIndexEntrySize;
+}
+
+IndexEntry SSTableReader::EntryAt(size_t i) const {
+  const char* p = index_.data() + kSsIndexHeaderSize + i * kIndexEntrySize;
+  IndexEntry e;
+  e.data_offset = DecodeFixed64(p);
+  e.keylen = DecodeFixed32(p + 8);
+  e.vallen = DecodeFixed32(p + 12);
+  e.flags = static_cast<uint8_t>(p[16]);
+  return e;
 }
 
 Status SSTableReader::EnsureIndexLoaded() {
@@ -153,43 +183,33 @@ Status SSTableReader::EnsureIndexLoaded() {
   Status s = sim::Storage::ReadFileToString(dir_ + "/" + SsIndexName(ssid_),
                                             &idx);
   if (!s.ok()) return s;
-  if (idx.size() < 20) return Status::Corrupted("ssindex too small");
+  if (idx.size() < kSsIndexOverhead) {
+    return Status::Corrupted("ssindex too small");
+  }
   const uint32_t stored =
       UnmaskCrc(DecodeFixed32(idx.data() + idx.size() - 4));
   if (Crc32c(idx.data(), idx.size() - 4) != stored) {
     return Status::Corrupted("ssindex crc mismatch");
   }
-  Slice in(idx.data(), idx.size() - 4);
-  uint32_t magic = 0, reserved = 0;
-  uint64_t count = 0;
-  GetFixed32(&in, &magic);
-  GetFixed32(&in, &reserved);
-  GetFixed64(&in, &count);
-  if (magic != kSsIndexMagic) return Status::Corrupted("ssindex bad magic");
-  if (in.size() != count * kIndexEntrySize) {
+  if (DecodeFixed32(idx.data()) != kSsIndexMagic) {
+    return Status::Corrupted("ssindex bad magic");
+  }
+  if (idx.size() - kSsIndexOverhead !=
+      DecodeFixed64(idx.data() + 8) * kIndexEntrySize) {
     return Status::Corrupted("ssindex size mismatch");
   }
-  std::vector<IndexEntry> parsed(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    IndexEntry& e = parsed[i];
-    GetFixed64(&in, &e.data_offset);
-    GetFixed32(&in, &e.keylen);
-    GetFixed32(&in, &e.vallen);
-    e.flags = static_cast<uint8_t>(in[0]);
-    in.remove_prefix(1);
-  }
   // analyze:allow-guarded-by: publish-once — index_mu_ serializes only
-  // this load; after the release-store below index_ is immutable and read
-  // lock-free, so GUARDED_BY(index_mu_) would misdescribe the protocol.
-  index_ = std::move(parsed);
-  // Publish: readers that acquire-load index_ready_ == true see the fully
-  // constructed vector; index_ is never written again.
+  // this load; after the release-store below the index_ string is
+  // immutable and decoded lock-free, so GUARDED_BY(index_mu_) would
+  // misdescribe the protocol.
+  index_ = std::move(idx);
+  // Publish: readers that acquire-load index_ready_ == true see the
+  // complete string; index_ is never written again.
   index_ready_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
-Status SSTableReader::ReadRecordAt(const IndexEntry& e, std::string* key,
-                                   std::string* value) {
+Status SSTableReader::ReadRecordAt(const IndexEntry& e, std::string* value) {
   const size_t rec_size = kRecordHeaderSize + e.keylen + e.vallen;
   std::string buf(rec_size, '\0');
   Slice got;
@@ -200,9 +220,7 @@ Status SSTableReader::ReadRecordAt(const IndexEntry& e, std::string* key,
   if (Crc32c(buf.data() + 4, rec_size - 4) != stored) {
     return Status::Corrupted("record crc mismatch");
   }
-  if (key) key->assign(buf.data() + kRecordHeaderSize, e.keylen);
-  if (value) value->assign(buf.data() + kRecordHeaderSize + e.keylen,
-                           e.vallen);
+  value->assign(buf.data() + kRecordHeaderSize + e.keylen, e.vallen);
   return Status::OK();
 }
 
@@ -220,24 +238,22 @@ Status SSTableReader::Get(const Slice& key, SearchMode mode,
   *found = false;
   Status s = EnsureIndexLoaded();
   if (!s.ok()) return s;
+  const size_t n = NumEntries();
 
   if (mode == SearchMode::kLinear) {
     // Sequential scan of SSData in file order, stopping as soon as we pass
     // the sorted position of the key.  Cost: O(n) sequential reads — the
     // disk-era strategy the binary search optimization replaces.
     std::string cur_key;
-    for (const IndexEntry& e : index_) {
+    for (size_t i = 0; i < n; ++i) {
+      const IndexEntry e = EntryAt(i);
       s = ReadKeyAt(e, &cur_key);
       if (!s.ok()) return s;
       const int cmp = Slice(cur_key).compare(key);
       if (cmp == 0) {
         *found = true;
         if (tombstone) *tombstone = e.tombstone();
-        if (value) {
-          std::string k;
-          return ReadRecordAt(e, &k, value);
-        }
-        return Status::OK();
+        return value ? ReadRecordAt(e, value) : Status::OK();
       }
       if (cmp > 0) return Status::OK();  // passed it: absent
     }
@@ -246,21 +262,18 @@ Status SSTableReader::Get(const Slice& key, SearchMode mode,
 
   // Binary search over the in-memory index; each probe random-reads one
   // key from SSData — fast on NVM (paper §2.6 "Binary search").
-  size_t lo = 0, hi = index_.size();
+  size_t lo = 0, hi = n;
   std::string probe;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    s = ReadKeyAt(index_[mid], &probe);
+    const IndexEntry e = EntryAt(mid);
+    s = ReadKeyAt(e, &probe);
     if (!s.ok()) return s;
     const int cmp = Slice(probe).compare(key);
     if (cmp == 0) {
       *found = true;
-      if (tombstone) *tombstone = index_[mid].tombstone();
-      if (value) {
-        std::string k;
-        return ReadRecordAt(index_[mid], &k, value);
-      }
-      return Status::OK();
+      if (tombstone) *tombstone = e.tombstone();
+      return value ? ReadRecordAt(e, value) : Status::OK();
     }
     if (cmp < 0) {
       lo = mid + 1;
@@ -271,13 +284,48 @@ Status SSTableReader::Get(const Slice& key, SearchMode mode,
   return Status::OK();
 }
 
-Status SSTableReader::ReadEntry(size_t i, std::string* key,
-                                std::string* value, uint8_t* flags) {
-  Status s = EnsureIndexLoaded();
+Status SSTableReader::Scanner::Open(std::shared_ptr<SSTableReader> table) {
+  Status s = table->EnsureIndexLoaded();
   if (!s.ok()) return s;
-  if (i >= index_.size()) return Status::InvalidArg("entry index out of range");
-  if (flags) *flags = index_[i].flags;
-  return ReadRecordAt(index_[i], key, value);
+  count_ = table->NumEntries();
+  pos_ = 0;
+  buf_len_ = 0;
+  table_ = std::move(table);
+  return Status::OK();
+}
+
+Status SSTableReader::Scanner::Next() {
+  assert(!done());
+  const IndexEntry e = table_->EntryAt(pos_++);
+  const size_t rec_size = kRecordHeaderSize + e.keylen + e.vallen;
+  const uint64_t file_size = table_->data_file_->size();
+  if (e.data_offset > file_size || rec_size > file_size - e.data_offset) {
+    return Status::Corrupted("index entry past the end of SSData");
+  }
+  if (e.data_offset < buf_offset_ ||
+      e.data_offset + rec_size > buf_offset_ + buf_len_) {
+    // Read ahead from this record: one chunk, or the whole record when it
+    // is larger than a chunk.
+    if (buf_.size() < std::max(kSsDataChunkSize, rec_size)) {
+      buf_.resize(std::max(kSsDataChunkSize, rec_size));
+    }
+    buf_len_ = 0;
+    Slice got;
+    Status s = table_->data_file_->Read(e.data_offset, buf_.size(),
+                                        buf_.data(), &got);
+    if (!s.ok()) return s;
+    buf_offset_ = e.data_offset;
+    buf_len_ = got.size();
+    if (buf_len_ < rec_size) return Status::Corrupted("record truncated");
+  }
+  const char* rec = buf_.data() + (e.data_offset - buf_offset_);
+  if (Crc32c(rec + 4, rec_size - 4) != UnmaskCrc(DecodeFixed32(rec))) {
+    return Status::Corrupted("record crc mismatch");
+  }
+  key_ = Slice(rec + kRecordHeaderSize, e.keylen);
+  value_ = Slice(rec + kRecordHeaderSize + e.keylen, e.vallen);
+  flags_ = e.flags;
+  return Status::OK();
 }
 
 }  // namespace papyrus::store

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "../util/temp_dir.h"
 #include "common/random.h"
@@ -33,13 +34,15 @@ uint64_t WriteTable(Manifest& m,
 // Full read of a single table into a map, "TOMB" encoding tombstones.
 std::map<std::string, std::string> ReadAll(Manifest& m, uint64_t ssid) {
   SSTablePtr reader;
-  EXPECT_TRUE(m.GetReader(ssid, &reader).ok());
   std::map<std::string, std::string> out;
-  for (size_t i = 0; i < reader->count(); ++i) {
-    std::string k, v;
-    uint8_t flags = 0;
-    EXPECT_TRUE(reader->ReadEntry(i, &k, &v, &flags).ok());
-    out[k] = (flags & kFlagTombstone) ? "TOMB" : v;
+  SSTableReader::Scanner scan;
+  Status s = m.GetReader(ssid, &reader);
+  if (s.ok()) s = scan.Open(reader);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  while (s.ok() && !scan.done()) {
+    EXPECT_TRUE(scan.Next().ok());
+    out[scan.key().ToString()] =
+        (scan.flags() & kFlagTombstone) ? "TOMB" : scan.value().ToString();
   }
   return out;
 }
@@ -152,6 +155,68 @@ TEST(CompactorTest, RandomizedMergeMatchesReferenceModel) {
   ASSERT_TRUE(MergeTables(m, ssids, true, 10).ok());
   ASSERT_EQ(m.TableCount(), 1u);
   EXPECT_EQ(ReadAll(m, m.LatestSsid()), ref);
+}
+
+// Two tables of 1 KB values, each spanning several read-ahead chunks.
+std::vector<uint64_t> WriteTwoMultiChunkTables(Manifest& m) {
+  std::map<std::string, std::string> older, newer;
+  for (int i = 0; i < 200; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%05d", i);
+    older[key] = PatternValue(static_cast<uint64_t>(i), 1000);
+    if (i % 2 == 0) {
+      newer[key] = PatternValue(static_cast<uint64_t>(i) + 7, 1000);
+    }
+  }
+  const uint64_t t1 = WriteTable(m, older);
+  const uint64_t t2 = WriteTable(m, newer);
+  return {t2, t1};
+}
+
+// A failed merge must publish nothing and leave every input live and
+// readable.
+void ExpectInputsStillLive(Manifest& m, const std::vector<uint64_t>& inputs) {
+  EXPECT_EQ(m.LiveSsids(), inputs);
+  for (uint64_t ssid : inputs) {
+    EXPECT_TRUE(sim::Storage::FileExists(m.dir() + "/" + SsDataName(ssid)));
+  }
+  EXPECT_EQ(ReadAll(m, inputs.back()).size(), 200u);
+}
+
+TEST(CompactorTest, CorruptRecordMidChunkFailsMergeAndKeepsInputs) {
+  TempDir tmp;
+  Manifest m(tmp.path());
+  ASSERT_TRUE(m.Open().ok());
+  const std::vector<uint64_t> inputs = WriteTwoMultiChunkTables(m);
+
+  // Record 60 of the newer table starts ~61 KB in, past the start of the
+  // scanner's first read-ahead chunk and well before its end.
+  const size_t rec_size = kRecordHeaderSize + 8 + 1000;
+  const std::string path = m.dir() + "/" + SsDataName(inputs[0]);
+  std::string raw;
+  ASSERT_TRUE(sim::Storage::ReadFileToString(path, &raw).ok());
+  raw[60 * rec_size + kRecordHeaderSize + 8 + 500] ^= 0x20;
+  ASSERT_TRUE(sim::Storage::WriteStringToFile(path, raw).ok());
+
+  EXPECT_EQ(MergeTables(m, inputs, true, 10).code(), PAPYRUSKV_CORRUPTED);
+  ExpectInputsStillLive(m, inputs);
+}
+
+TEST(CompactorTest, UnreadableIndexFailsMergeAndKeepsInputs) {
+  TempDir tmp;
+  Manifest m(tmp.path());
+  ASSERT_TRUE(m.Open().ok());
+  const std::vector<uint64_t> inputs = WriteTwoMultiChunkTables(m);
+
+  const std::string path = m.dir() + "/" + SsIndexName(inputs[0]);
+  std::string raw;
+  ASSERT_TRUE(sim::Storage::ReadFileToString(path, &raw).ok());
+  raw[20] ^= 0x01;
+  ASSERT_TRUE(sim::Storage::WriteStringToFile(path, raw).ok());
+
+  // Not read as an empty table (which would drop its records).
+  EXPECT_EQ(MergeTables(m, inputs, true, 10).code(), PAPYRUSKV_CORRUPTED);
+  ExpectInputsStillLive(m, inputs);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ using namespace papyrus;
 namespace {
 
 // Renders bytes printably; non-ASCII as \xNN, truncated with an ellipsis.
-std::string Printable(const std::string& s, size_t limit = 48) {
+std::string Printable(const Slice& s, size_t limit = 48) {
   std::string out;
   for (size_t i = 0; i < s.size() && out.size() < limit; ++i) {
     const unsigned char c = static_cast<unsigned char>(s[i]);
@@ -90,19 +90,25 @@ int Dump(store::Manifest& manifest, uint64_t ssid) {
             static_cast<unsigned long long>(ssid), s.ToString().c_str());
     return 1;
   }
+  store::SSTableReader::Scanner scan;
+  s = scan.Open(reader);
+  if (!s.ok()) {
+    fprintf(stderr, "cannot read ssid %llu's index: %s\n",
+            static_cast<unsigned long long>(ssid), s.ToString().c_str());
+    return 1;
+  }
   printf("SSTable %llu: %zu records\n",
-         static_cast<unsigned long long>(ssid), reader->count());
-  for (size_t i = 0; i < reader->count(); ++i) {
-    std::string key, value;
-    uint8_t flags = 0;
-    s = reader->ReadEntry(i, &key, &value, &flags);
+         static_cast<unsigned long long>(ssid), scan.count());
+  while (!scan.done()) {
+    const size_t i = scan.pos();
+    s = scan.Next();
     if (!s.ok()) {
       printf("%6zu  <error: %s>\n", i, s.ToString().c_str());
       continue;
     }
-    printf("%6zu  %s%s = [%zu B] %s\n", i, Printable(key).c_str(),
-           (flags & store::kFlagTombstone) ? " (TOMBSTONE)" : "",
-           value.size(), Printable(value).c_str());
+    printf("%6zu  %s%s = [%zu B] %s\n", i, Printable(scan.key()).c_str(),
+           (scan.flags() & store::kFlagTombstone) ? " (TOMBSTONE)" : "",
+           scan.value().size(), Printable(scan.value()).c_str());
   }
   return 0;
 }
@@ -119,10 +125,18 @@ int Verify(store::Manifest& manifest) {
       ++bad;
       continue;
     }
+    store::SSTableReader::Scanner scan;
+    s = scan.Open(reader);
+    if (!s.ok()) {
+      printf("ssid %llu: INDEX UNREADABLE: %s\n",
+             static_cast<unsigned long long>(ssid), s.ToString().c_str());
+      ++bad;
+      continue;
+    }
     std::string prev_key;
-    for (size_t i = 0; i < reader->count(); ++i) {
-      std::string key, value;
-      s = reader->ReadEntry(i, &key, &value, nullptr);
+    while (!scan.done()) {
+      const size_t i = scan.pos();
+      s = scan.Next();
       if (!s.ok()) {
         printf("ssid %llu record %zu: %s\n",
                static_cast<unsigned long long>(ssid), i,
@@ -130,12 +144,12 @@ int Verify(store::Manifest& manifest) {
         ++bad;
         continue;
       }
-      if (i > 0 && key <= prev_key) {
+      if (i > 0 && scan.key().compare(prev_key) <= 0) {
         printf("ssid %llu record %zu: SORT ORDER VIOLATION\n",
                static_cast<unsigned long long>(ssid), i);
         ++bad;
       }
-      prev_key = std::move(key);
+      prev_key.assign(scan.key().data(), scan.key().size());
       ++records;
     }
   }
