@@ -1,17 +1,13 @@
 // Microbenchmarks of the storage-engine primitives (google-benchmark).
 //
 // These quantify the data-structure-level choices underneath the figure
-// benches: the red-black-tree MemTable index, bloom filter probes, SSTable
-// binary vs linear search, the LRU cache, CRC32C, and the lock-free queue.
+// benches: the MemTable index, bloom filter probes, SSTable binary vs
+// linear search, the LRU cache, and CRC32C.
 #include <benchmark/benchmark.h>
-
-#include <map>
 
 #include "../tests/util/temp_dir.h"
 #include "common/crc32.h"
 #include "common/random.h"
-#include "common/rbtree.h"
-#include "common/ring_queue.h"
 #include "sim/device_model.h"
 #include "store/bloom.h"
 #include "store/cache.h"
@@ -20,48 +16,6 @@
 
 namespace papyrus {
 namespace {
-
-void BM_RbTreeInsert(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 4096; ++i) keys.push_back(RandomKey(rng, 16));
-  for (auto _ : state) {
-    RbTree<std::string, int> tree;
-    for (const auto& k : keys) tree.InsertOrAssign(k, 1);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_RbTreeInsert);
-
-void BM_StdMapInsert(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 4096; ++i) keys.push_back(RandomKey(rng, 16));
-  for (auto _ : state) {
-    std::map<std::string, int> tree;
-    for (const auto& k : keys) tree.insert_or_assign(k, 1);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_StdMapInsert);
-
-void BM_RbTreeLookup(benchmark::State& state) {
-  Rng rng(2);
-  RbTree<std::string, int> tree;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 4096; ++i) {
-    keys.push_back(RandomKey(rng, 16));
-    tree.InsertOrAssign(keys.back(), i);
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Find(keys[i++ & 4095]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RbTreeLookup);
 
 void BM_MemTablePut(benchmark::State& state) {
   const size_t vallen = static_cast<size_t>(state.range(0));
@@ -78,6 +32,27 @@ void BM_MemTablePut(benchmark::State& state) {
                           static_cast<int64_t>(vallen));
 }
 BENCHMARK(BM_MemTablePut)->Arg(256)->Arg(4096)->Arg(65536);
+
+// Point lookups in a table the size of perfbench hot_sync's: 100k 16-byte
+// keys with 128 B values.
+void BM_MemTableGet(benchmark::State& state) {
+  constexpr int kKeys = 100000;
+  Rng rng(2);
+  std::vector<std::string> keys;
+  store::MemTable mem(store::MemTable::Kind::kLocal, ~size_t{0});
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back(RandomKey(rng, 16));
+    mem.Put(keys.back(), PatternValue(i, 128), false, 0);
+  }
+  std::string value;
+  bool tomb;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        mem.Get(keys[rng.Uniform(kKeys)], &value, &tomb));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemTableGet);
 
 void BM_BloomQuery(benchmark::State& state) {
   Rng rng(4);
@@ -156,16 +131,6 @@ void BM_Crc32c(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_Crc32c);
-
-void BM_RingQueueHandoff(benchmark::State& state) {
-  RingQueue<uint64_t> q(1024);
-  for (auto _ : state) {
-    q.TryPush(1);
-    benchmark::DoNotOptimize(q.TryPop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RingQueueHandoff);
 
 }  // namespace
 }  // namespace papyrus

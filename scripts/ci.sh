@@ -6,9 +6,8 @@
 #                  message-flow and tree-hygiene rules — raw-mutex,
 #                  direct-send, trace-add, ...) + wire-version vs HEAD;
 #                  findings are archived as build/analyze_findings.json;
-#                  runs on the built-in text frontend, so it is never
-#                  skipped — spec drift (PROTOCOL.json vs src/core/wire.h)
-#                  fails here
+#                  needs no compiler toolchain, so it is never skipped —
+#                  spec drift (PROTOCOL.json vs src/core/wire.h) fails here
 #   2. build+test  default build, full ctest suite
 #   3. fault       fault matrix: the whole ctest suite re-run under a
 #                  canned correctness-neutral PAPYRUSKV_FAULTS profile
@@ -38,9 +37,10 @@
 #                  obs dir and fails the stage) and the merged series is
 #                  re-rendered through papyrus_inspect --timeline, so the
 #                  whole observe-merge-render path gates CI; then
-#                  perfbench --smoke runs of ingest (flush -> compaction
-#                  -> reopen -> read-back) and nvm_read (gets over
-#                  SSTables), each checking every value byte for byte
+#                  perfbench --smoke runs of hot_sync (gets on MemTable-
+#                  resident keys), ingest (flush -> compaction -> reopen
+#                  -> read-back) and nvm_read (gets over SSTables), each
+#                  checking every value byte for byte
 #
 # Any stage failing fails the script (set -e); the summary line at the end
 # only prints on full success.  Stages skipped for missing toolchains are
@@ -199,9 +199,10 @@ head -12 "${BENCH_TMP}/rfo_merged.txt"
 grep -q "crash" "${BENCH_TMP}/rfo_merged.txt"  # overlay reached the render
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \
   BENCH_repl_failover.json
-# The store's chunked write / scan path end to end: perfbench exits
-# non-zero on any wrong, missing or failed result.
-for w in ingest nvm_read; do
+# The MemTable index (hot_sync: every key stays MemTable-resident) and the
+# store's chunked write / scan path end to end: perfbench exits non-zero
+# on any wrong, missing or failed result.
+for w in hot_sync ingest nvm_read; do
   if ! python3 perfbench/run.py --workload "${w}" --smoke --seed 1 \
       --seconds 2 > "${BENCH_TMP}/perfbench_${w}.txt"; then
     cat "${BENCH_TMP}/perfbench_${w}.txt"
@@ -218,7 +219,7 @@ if [ "${#SKIPPED[@]}" -gt 0 ]; then
   echo "ci.sh: OK (skipped: ${SKIPPED[*]})"
   if [ "${CI:-0}" = "1" ]; then
     echo "ci.sh: FAIL — CI=1 forbids skipped stages; install the missing"
-    echo "clang/libclang toolchain so ${SKIPPED[*]} run(s) for real"
+    echo "clang toolchain so ${SKIPPED[*]} run(s) for real"
     exit 1
   fi
 else

@@ -49,7 +49,6 @@ struct Options {
 
   // --- capacity / structure tunables ---
   size_t memtable_bytes = 4u << 20;      // MemTable capacity limit
-  size_t queue_depth = 8;                // flushing/migration queue slots
   bool cache_local_enabled = true;
   size_t cache_local_bytes = 8u << 20;
   size_t cache_remote_bytes = 8u << 20;  // active only under RDONLY

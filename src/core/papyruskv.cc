@@ -31,7 +31,6 @@ Options ToOptions(const papyruskv_option_t* opt) {
     o.protection = opt->protection;
   }
   if (opt->memtable_size > 0) o.memtable_bytes = opt->memtable_size;
-  if (opt->queue_depth > 0) o.queue_depth = opt->queue_depth;
   o.cache_local_enabled = opt->cache_local != 0;
   if (opt->cache_local_size > 0) o.cache_local_bytes = opt->cache_local_size;
   if (opt->cache_remote_size > 0) {
@@ -60,7 +59,6 @@ int papyruskv_option_init(papyruskv_option_t* opt) {
   opt->consistency = d.consistency;
   opt->protection = d.protection;
   opt->memtable_size = d.memtable_bytes;
-  opt->queue_depth = d.queue_depth;
   opt->cache_local = d.cache_local_enabled ? 1 : 0;
   opt->cache_local_size = d.cache_local_bytes;
   opt->cache_remote_size = d.cache_remote_bytes;

@@ -45,8 +45,6 @@ typedef struct papyruskv_option_struct {
   int consistency;            // PAPYRUSKV_SEQUENTIAL / PAPYRUSKV_RELAXED
   int protection;             // PAPYRUSKV_RDWR / _WRONLY / _RDONLY
   size_t memtable_size;       // MemTable capacity limit in bytes
-  size_t queue_depth;         // flushing/migration queue slots (unused: v1
-                              // uses the runtime-wide queues)
   int cache_local;            // local cache on/off
   size_t cache_local_size;    // bytes
   size_t cache_remote_size;   // bytes (active under PAPYRUSKV_RDONLY)

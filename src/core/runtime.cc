@@ -18,7 +18,6 @@ namespace papyrus::core {
 
 namespace {
 thread_local KvRuntime* tls_runtime = nullptr;
-constexpr size_t kDefaultQueueDepth = 8;
 
 // Metric name for request traffic of opcode `op` ("" suffix = messages).
 const char* OpName(int op) {
@@ -155,8 +154,6 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository,
       barrier_comm_(ctx.comm.Dup()),
       restart_comm_(ctx.comm.Dup()),
       signal_comm_(ctx.comm.Dup()),
-      flush_queue_(kDefaultQueueDepth),
-      migration_queue_(kDefaultQueueDepth),
       retry_(fault::RetryPolicy::FromEnv()),
       crash_point_(&fault::Registry::Instance().GetPoint("rank.crash")),
       repl_drop_point_(

@@ -10,8 +10,8 @@
 //     batching records per owner and sending them over the interconnect;
 //   * the *message handler* — receives requests from other ranks and
 //     applies/serves them;
-//   * the flushing and migration queues themselves — lock-free, fixed
-//     size, FIFO; producers block while full (back-pressure, §2.4);
+//   * the flushing and migration queues themselves — fixed size, FIFO;
+//     producers block while full (back-pressure, §2.4);
 //   * communicators dup'ed from the application's (§2.4: "the runtime
 //     creates new independent MPI communicators"), so runtime traffic can
 //     never interfere with application messages;
@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,7 +32,6 @@
 
 #include "async/pipeline.h"
 #include "common/mutex.h"
-#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/db_shard.h"
@@ -48,6 +48,40 @@
 #include "obs/trace.h"
 
 namespace papyrus::core {
+
+// Slots in each of the flushing and migration queues.
+inline constexpr size_t kDefaultQueueDepth = 8;
+
+// The flushing and migration queues (paper §2.4): a fixed-size FIFO.  Push
+// blocks while the queue is full — the paper's back-pressure, "the MPI rank
+// is blocked on the put operation until the queue is available" — and Pop
+// blocks while it is empty.  The paper's queue is lock-free; here each job
+// is a whole sealed MemTable, so one leaf mutex per handoff costs nothing.
+template <typename T>
+class BoundedQueue {
+ public:
+  void Push(T job) {
+    MutexLock lock(&mu_);
+    while (jobs_.size() >= kDefaultQueueDepth) not_full_.Wait(&mu_);
+    jobs_.push_back(std::move(job));
+    not_empty_.NotifyOne();
+  }
+
+  T Pop() {
+    MutexLock lock(&mu_);
+    while (jobs_.empty()) not_empty_.Wait(&mu_);
+    T job = std::move(jobs_.front());
+    jobs_.pop_front();
+    not_full_.NotifyOne();
+    return job;
+  }
+
+ private:
+  Mutex mu_{"job_queue_mu"};  // leaf lock
+  CondVar not_full_;
+  CondVar not_empty_;
+  std::deque<T> jobs_ GUARDED_BY(mu_);
+};
 
 // Work item for the compaction thread: either an immutable local MemTable
 // to flush, or a deferred task (checkpoint/restart transfer).
@@ -306,8 +340,8 @@ class KvRuntime {
   net::Communicator restart_comm_;  // compaction-thread collectives
   net::Communicator signal_comm_;   // papyruskv_signal_*
 
-  BlockingRingQueue<CompactionJob> flush_queue_;
-  BlockingRingQueue<MigrationJob> migration_queue_;
+  BoundedQueue<CompactionJob> flush_queue_;
+  BoundedQueue<MigrationJob> migration_queue_;
 
   std::thread compaction_thread_;
   std::thread dispatcher_thread_;

@@ -13,13 +13,15 @@ bool MemTable::Put(const Slice& key, const Slice& value, bool tombstone,
   e.tombstone = tombstone;
   e.owner = owner;
   const size_t new_charge = key.size() + value.size() + sizeof(Entry);
-  std::string k = key.ToString();
-  if (Entry* old = tree_.Find(k)) {
+  // One tree walk: the lower bound is either the key itself or the hint
+  // for inserting it.
+  auto it = tree_.lower_bound(key.view());
+  if (it != tree_.end() && it->first == key.view()) {
     // Replace in place (the paper: the old pair is deleted first).
-    bytes_ -= k.size() + old->value.size() + sizeof(Entry);
-    *old = std::move(e);
+    bytes_ -= it->first.size() + it->second.value.size() + sizeof(Entry);
+    it->second = std::move(e);
   } else {
-    tree_.InsertOrAssign(k, std::move(e));
+    tree_.emplace_hint(it, key.view(), std::move(e));
   }
   bytes_ += new_charge;
   return true;
@@ -28,11 +30,12 @@ bool MemTable::Put(const Slice& key, const Slice& value, bool tombstone,
 bool MemTable::Get(const Slice& key, std::string* value, bool* tombstone,
                    int* owner) const {
   ReaderMutexLock lock(&mu_);
-  const Entry* e = tree_.Find(key.ToString());
-  if (!e) return false;
-  if (value) *value = e->value;
-  if (tombstone) *tombstone = e->tombstone;
-  if (owner) *owner = e->owner;
+  auto it = tree_.find(key.view());
+  if (it == tree_.end()) return false;
+  const Entry& e = it->second;
+  if (value) *value = e.value;
+  if (tombstone) *tombstone = e.tombstone;
+  if (owner) *owner = e.owner;
   return true;
 }
 
@@ -60,9 +63,7 @@ void MemTable::ForEachSorted(
     const std::function<void(const Slice&, const Entry&)>& fn) const {
   ReaderMutexLock lock(&mu_);
   assert(sealed_ && "sorted iteration requires a sealed MemTable");
-  for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
-    fn(Slice(it.key()), it.value());
-  }
+  for (const auto& [key, entry] : tree_) fn(Slice(key), entry);
 }
 
 }  // namespace papyrus::store

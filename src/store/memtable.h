@@ -8,6 +8,12 @@
 // capacity limit it is sealed (becomes immutable) and handed to the
 // compaction thread (local) or message dispatcher (remote).
 //
+// The tree is std::map, the standard library's red-black tree.  Its
+// transparent comparator lets Get/Put search with the caller's bytes
+// without first copying them into a std::string.  std::string compares
+// bytes as unsigned char, the order of Slice::compare, so in-order
+// iteration is the strictly ascending order SSTableBuilder::Add requires.
+//
 // This one class covers all four roles: kind() records local/remote;
 // Seal() flips it immutable.  Thread safety: a shared_mutex — the owning
 // rank writes, while the message handler and remote readers may search
@@ -17,11 +23,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "common/mutex.h"
-#include "common/rbtree.h"
 #include "common/slice.h"
 
 namespace papyrus::store {
@@ -74,7 +80,7 @@ class MemTable {
   mutable SharedMutex mu_{"memtable_mu"};
   bool sealed_ GUARDED_BY(mu_) = false;
   size_t bytes_ GUARDED_BY(mu_) = 0;
-  RbTree<std::string, Entry> tree_ GUARDED_BY(mu_);
+  std::map<std::string, Entry, std::less<>> tree_ GUARDED_BY(mu_);
 };
 
 using MemTablePtr = std::shared_ptr<MemTable>;

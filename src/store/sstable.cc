@@ -34,6 +34,15 @@ SSTableBuilder::SSTableBuilder(std::string dir, uint64_t ssid,
   PutFixed64(&index_, 0);  // count, patched by Finish()
 }
 
+SSTableBuilder::~SSTableBuilder() {
+  if (published_) return;
+  for (const auto& name :
+       {SsDataName(ssid_), SsIndexName(ssid_), BloomName(ssid_)}) {
+    // Best effort: a file the failed build never created is already gone.
+    (void)sim::Storage::RemoveFile(dir_ + "/" + name + ".tmp");
+  }
+}
+
 Status SSTableBuilder::FlushChunk() {
   Status s = data_file_->Append(chunk_);
   chunk_.clear();
@@ -113,6 +122,7 @@ Status SSTableBuilder::Finish() {
                                  dir_ + "/" + name);
     if (!s.ok()) return s;
   }
+  published_ = true;
   return Status::OK();
 }
 

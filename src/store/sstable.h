@@ -46,6 +46,11 @@ class SSTableBuilder {
   // expected_keys sizes the bloom filter and the in-memory SSIndex.
   SSTableBuilder(std::string dir, uint64_t ssid, size_t expected_keys,
                  int bloom_bits_per_key = 10);
+  // Removes the staging (.tmp) files unless Finish() published the table,
+  // so a failed or abandoned build leaves nothing behind.
+  ~SSTableBuilder();
+  SSTableBuilder(const SSTableBuilder&) = delete;
+  SSTableBuilder& operator=(const SSTableBuilder&) = delete;
 
   // Keys must be strictly ascending.  flags: kFlagTombstone or 0.
   Status Add(const Slice& key, const Slice& value, uint8_t flags);
@@ -75,6 +80,7 @@ class SSTableBuilder {
   uint64_t data_offset_ = 0;
   std::string last_key_;
   bool finished_ = false;
+  bool published_ = false;  // Finish() renamed every file into place
 };
 
 // Convenience: flush a sealed MemTable to SSTable `ssid` in `dir`.

@@ -173,12 +173,17 @@ std::vector<uint64_t> WriteTwoMultiChunkTables(Manifest& m) {
   return {t2, t1};
 }
 
-// A failed merge must publish nothing and leave every input live and
-// readable.
+// A failed merge must publish nothing, leave no staging file behind, and
+// leave every input live and readable.
 void ExpectInputsStillLive(Manifest& m, const std::vector<uint64_t>& inputs) {
   EXPECT_EQ(m.LiveSsids(), inputs);
   for (uint64_t ssid : inputs) {
     EXPECT_TRUE(sim::Storage::FileExists(m.dir() + "/" + SsDataName(ssid)));
+  }
+  std::vector<std::string> names;
+  ASSERT_TRUE(sim::Storage::ListDir(m.dir(), &names).ok());
+  for (const auto& name : names) {
+    EXPECT_FALSE(name.ends_with(".tmp")) << name;
   }
   EXPECT_EQ(ReadAll(m, inputs.back()).size(), 200u);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "common/random.h"
@@ -130,6 +131,83 @@ TEST(MemTableTest, ConcurrentReadersAndWriter) {
   for (auto& r : readers) r.join();
   EXPECT_EQ(mem.Count(), 100u);
 }
+
+// Randomized differential test against a std::map model ordered by
+// Slice::compare — the order SSTableBuilder::Add demands of a flush.  Keys
+// come from a tiny alphabet (shared prefixes, keys that prefix one another,
+// NUL and bytes >= 0x80) so overwrites and order corner cases are common.
+class MemTableModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+struct BySliceOrder {
+  bool operator()(const std::string& a, const std::string& b) const {
+    return Slice(a).compare(b) < 0;
+  }
+};
+
+struct ModelEntry {
+  std::string value;
+  bool tombstone;
+  int owner;
+};
+
+TEST_P(MemTableModelTest, MatchesStdMapUnderRandomOps) {
+  Rng rng(GetParam());
+  const std::string prefixes[] = {"", "k", "k\x80", "\xff\x01"};
+  const char alphabet[] = {'a', 'b', '\0', '\x7f', '\x80', '\xff'};
+  auto random_key = [&] {
+    std::string key = prefixes[rng.Uniform(4)];
+    const size_t extra = rng.Uniform(4);
+    for (size_t i = 0; i < extra; ++i) key += alphabet[rng.Uniform(6)];
+    return key;
+  };
+
+  MemTable mem(MemTable::Kind::kRemote, 64 << 20);
+  std::map<std::string, ModelEntry, BySliceOrder> model;
+  constexpr int kOps = 4000;
+  for (int i = 0; i < kOps; ++i) {
+    const std::string key = random_key();
+    if (rng.Uniform(3) != 0) {
+      const bool tomb = rng.Uniform(5) == 0;
+      const std::string value = tomb ? "" : RandomKey(rng, rng.Uniform(40));
+      const int owner = static_cast<int>(rng.Uniform(8));
+      ASSERT_TRUE(mem.Put(key, value, tomb, owner));
+      model[key] = {value, tomb, owner};
+    } else {
+      std::string value;
+      bool tomb = false;
+      int owner = -1;
+      auto it = model.find(key);
+      ASSERT_EQ(mem.Get(key, &value, &tomb, &owner), it != model.end());
+      if (it != model.end()) {
+        EXPECT_EQ(value, it->second.value);
+        EXPECT_EQ(tomb, it->second.tombstone);
+        EXPECT_EQ(owner, it->second.owner);
+      }
+    }
+  }
+
+  size_t want_bytes = 0;
+  for (const auto& [k, e] : model) {
+    want_bytes += k.size() + e.value.size() + sizeof(MemTable::Entry);
+  }
+  EXPECT_EQ(mem.Count(), model.size());
+  EXPECT_EQ(mem.ApproxBytes(), want_bytes);
+
+  mem.Seal();
+  auto want = model.begin();
+  mem.ForEachSorted([&](const Slice& key, const MemTable::Entry& e) {
+    ASSERT_NE(want, model.end());
+    EXPECT_EQ(key.ToString(), want->first);
+    EXPECT_EQ(e.value, want->second.value);
+    EXPECT_EQ(e.tombstone, want->second.tombstone);
+    EXPECT_EQ(e.owner, want->second.owner);
+    ++want;
+  });
+  EXPECT_EQ(want, model.end());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemTableModelTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace papyrus::store

@@ -1,9 +1,9 @@
 """checks — the five papyrus_analyze semantic rules.
 
-Each check takes the Model from cxx_model (optionally refined by
-clang_frontend) and yields Violation objects.  Every rule has a per-line
-escape comment `// analyze:allow-<rule>[: reason]`, honored on the
-violating line or in the contiguous pure-comment block above it.
+Each check takes the Model from cxx_model and yields Violation objects.
+Every rule has a per-line escape comment `// analyze:allow-<rule>[:
+reason]`, honored on the violating line or in the contiguous
+pure-comment block above it.
 
 Rules:
   guarded-by         A member field directly written while a *sibling*

@@ -11,11 +11,8 @@ This frontend is deliberately *structural*, not a full parser: it
 tokenizes accurately enough for the papyrus_analyze rules (string/
 char/comment-safe brace matching, statement accumulation, one level of
 class nesting) and leans on the repo's own conventions (member fields end
-in `_`, locking goes through papyrus::Mutex + MutexLock).  When python
-clang bindings and a compile_commands.json are available,
-clang_frontend.py refines the type-sensitive facts (see papyrus_analyze
---frontend); everything else runs on this model alone, so the gate works
-on toolchain-poor builders too.
+in `_`, locking goes through papyrus::Mutex + MutexLock).  It needs no
+compiler toolchain, so the gate works on toolchain-poor builders too.
 """
 
 import os
@@ -195,8 +192,7 @@ class Model:
         self.classes = {}     # class name -> ClassModel
         self.functions = []   # [FunctionModel]
         self.by_name = {}     # simple function name -> [FunctionModel]
-        # Function names whose every known declaration returns Status
-        # (refined to a precise set by clang_frontend when available).
+        # Function names whose every known declaration returns Status.
         self.status_fn_names = set()
         self._status_yes = {}
         self._status_no = set()

@@ -15,13 +15,9 @@ Scope: the intra-process and message-flow rules model the files under
 src/ only; the tree-hygiene rules read every given file.  With no path
 arguments the roots are src tests tools bench examples.
 
-Frontend seam: the analyzer always runs on the built-in structural C++
-frontend (cxx_model.py — a real tokenizer/scoper, not line regexes).
-When python clang bindings AND a compile_commands.json are available
-(`--frontend clang`, or `auto` when importable), clang.cindex refines the
-Status-returning-function set with true type information; everything
-else is frontend-independent.  The container gate therefore never skips
-this stage — clang only sharpens it.
+Frontend: the built-in structural C++ model (cxx_model.py — a real
+tokenizer/scoper, not line regexes).  It needs no compiler toolchain, so
+the gate never skips this stage.
 
 Usage:
   papyrus_analyze.py [paths...]            analyze (default: TREE_ROOTS)
@@ -30,7 +26,6 @@ Usage:
   papyrus_analyze.py --diff-file F         wire-version against a saved diff
   papyrus_analyze.py --write-spec          regenerate PROTOCOL.json + docs
   papyrus_analyze.py --json FILE           also write findings as JSON
-  papyrus_analyze.py --frontend auto|text|clang
 
 Exit codes: 0 clean, 1 violations, 2 usage/environment error (stable —
 CI and the --json archive rely on them).
@@ -87,28 +82,6 @@ ALL_CHECKS = (
 NO_LINE_ESCAPE = ("wire-version", "proto-spec-drift")
 
 
-def resolve_frontend(requested):
-    """Returns (name, refine_fn or None).  clang refinement is optional
-    and additive; 'text' is always available."""
-    if requested == "text":
-        return "text", None
-    try:
-        import clang_frontend
-        if clang_frontend.available():
-            return "clang", clang_frontend.refine
-        if requested == "clang":
-            print("papyrus_analyze: --frontend clang requested but "
-                  "clang.cindex or compile_commands.json is unavailable",
-                  file=sys.stderr)
-            sys.exit(2)
-    except Exception as exc:  # pragma: no cover - defensive
-        if requested == "clang":
-            print("papyrus_analyze: clang frontend failed: %s" % exc,
-                  file=sys.stderr)
-            sys.exit(2)
-    return "text", None
-
-
 def git_diff(base):
     try:
         proc = subprocess.run(
@@ -134,17 +107,6 @@ def split_sources(roots):
     return src, rest
 
 
-def src_model(paths, refine):
-    model = cxx_model.build_model(paths, REPO_ROOT)
-    if refine is not None:
-        try:
-            refine(model, REPO_ROOT)
-        except Exception as exc:  # refinement must never break the run
-            print("papyrus_analyze: clang refinement failed (%s); "
-                  "continuing with text frontend" % exc, file=sys.stderr)
-    return model
-
-
 def run_rules(model, diff_text=None, spec_json=None, spec_md=None):
     """Every rule in the catalogue over one model."""
     vs = checks.run_all(model, diff_text)
@@ -154,8 +116,8 @@ def run_rules(model, diff_text=None, spec_json=None, spec_md=None):
     return vs
 
 
-def analyze(src, rest, diff_text, refine):
-    model = src_model(src, refine)
+def analyze(src, rest, diff_text):
+    model = cxx_model.build_model(src, REPO_ROOT)
     has_wire = SPEC_SOURCE in model.files
     violations = run_rules(model, diff_text,
                            SPEC_JSON if has_wire else None,
@@ -165,8 +127,8 @@ def analyze(src, rest, diff_text, refine):
     return violations
 
 
-def write_spec(paths, refine):
-    model = src_model(paths, refine)
+def write_spec(paths):
+    model = cxx_model.build_model(paths, REPO_ROOT)
     if SPEC_SOURCE not in model.files:
         print("papyrus_analyze: --write-spec needs %s in the analyzed "
               "paths (run without path arguments)" % SPEC_SOURCE,
@@ -186,10 +148,9 @@ def write_spec(paths, refine):
     return 0
 
 
-def write_json(path, violations, frontend):
+def write_json(path, violations):
     report = {
         "version": 1,
-        "frontend": frontend,
         "count": len(violations),
         "findings": [
             {"rule": v.rule, "file": v.relpath, "line": v.line,
@@ -344,10 +305,6 @@ def main(argv=None):
                     help="run wire-version against `git diff REF`")
     ap.add_argument("--diff-file", metavar="FILE",
                     help="run wire-version against a saved unified diff")
-    ap.add_argument("--frontend", choices=("auto", "text", "clang"),
-                    default="auto",
-                    help="C++ frontend (default: auto — clang refinement "
-                         "when available, text otherwise)")
     args = ap.parse_args(argv)
 
     if args.self_test:
@@ -366,22 +323,20 @@ def main(argv=None):
     elif args.diff_base:
         diff_text = git_diff(args.diff_base)
 
-    frontend, refine = resolve_frontend(args.frontend)
     src, rest = split_sources(roots)
     if args.write_spec:
-        return write_spec(src, refine)
-    violations = analyze(src, rest, diff_text, refine)
+        return write_spec(src)
+    violations = analyze(src, rest, diff_text)
 
     if args.json:
-        write_json(args.json, violations, frontend)
+        write_json(args.json, violations)
     for v in violations:
         print(v)
     if violations:
-        print("papyrus_analyze: %d violation(s) [frontend: %s]"
-              % (len(violations), frontend), file=sys.stderr)
+        print("papyrus_analyze: %d violation(s)" % len(violations),
+              file=sys.stderr)
         return 1
-    print("papyrus_analyze: clean (%d file(s), frontend: %s)"
-          % (len(src) + len(rest), frontend))
+    print("papyrus_analyze: clean (%d file(s))" % (len(src) + len(rest)))
     return 0
 
 
