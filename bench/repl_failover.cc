@@ -1,27 +1,26 @@
 // repl_failover — put throughput across a kill-and-promote cycle
-// (DESIGN.md §12), measured by the timeline sampler (DESIGN.md §13).
+// (DESIGN.md §12).
 //
-// Three ranks with k=2 intra-group replication stream puts over the whole
-// key space in fixed windows.  Midway, rank 2 is fail-stopped via the
-// rank.crash failpoint; the survivors keep writing.  The first post-crash
-// op against each dead hash slot pays the (tight) timeout ladder plus the
-// election that promotes rank 2's follower, after which the promoted-owner
-// cache routes at full speed — so the expected shape is a bounded dip,
-// not a collapse.
+// Three ranks (the default) with k=2 intra-group replication stream puts
+// over the whole key space in fixed windows.  Midway, the last rank is
+// fail-stopped via the rank.crash failpoint; the survivors keep writing.
+// The first post-crash op against each dead hash slot pays the (tight)
+// timeout ladder plus the election that promotes the victim's follower,
+// after which the promoted-owner cache routes at full speed — so the
+// expected shape is a bounded dip, not a collapse.
 //
-// Instead of hand-rolled stopwatch windows, the bench runs with
-// PAPYRUSKV_OBS=<repo>/obs,20 and derives everything from the sampler: each
-// rank allgathers its timeline-v1 JSON, rank 0 merges the series onto the
-// shared steady clock (the same path papyrus_inspect --timeline takes) and
-// reads before/dip/after off the merged per-window put-rate series.  The
-// merged series lands in BENCH_repl_failover.json as bench.tl.w* gauges
-// next to the before/dip/after aggregate, so the whole failover shape is
-// part of the committed results trajectory.  The run's per-rank dumps
-// (timeline, flight, stats, trace) stay in <repo>/obs for
-// `papyrus_inspect --timeline <repo>/obs`.
+// Every window is bracketed by barriers, so rank 0 times each one between
+// them and every rank counts the puts it completed inside it.  Rank 0 sums
+// the counts and reads the shape off the per-window put rate: "before" is
+// the fastest window before the crash, "dip" the crash window, and "after"
+// the fastest window after it.  BENCH_repl_failover.json carries the six
+// rates as bench.w<k>_ops next to the before/dip/after aggregate.  The
+// run's per-rank dumps (stats, trace, flight) stay in <repo>/obs; the
+// victim's flight.rank<k>.json records the crash.
 //
-//   repl_failover [--ranks=N] [--iters=N(puts/rank/window)] [--vallen=N]
-//                 [--repo=PATH]
+//   repl_failover [--ranks=N(default 3)] [--iters=N(puts/rank/window)]
+//                 [--vallen=N] [--repo=PATH]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -30,12 +29,13 @@
 #include "bench_util.h"
 #include "benchlib/flags.h"
 #include "benchlib/report.h"
+#include "common/coding.h"
+#include "common/timer.h"
 #include "core/papyruskv.h"
 #include "core/runtime.h"
 #include "fault/failpoint.h"
 #include "net/runtime.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 using namespace papyrus;
 using namespace papyrus::bench;
@@ -43,40 +43,14 @@ using namespace papyrus::bench;
 namespace {
 
 constexpr int kWindows = 6;
-constexpr int kCrashAfter = 2;  // windows completed before rank 2 dies
-
-// Reads the failover shape off the merged per-window put-rate series:
-// the dip is the slowest non-empty interior window, "before" the fastest
-// window preceding it, "after" the fastest one following it.  Empty edge
-// windows (grid slots before the first / after the last sample) are
-// ignored.  Returns false when the series is too short to bracket a dip.
-bool FailoverShape(const std::vector<double>& ops, double* before,
-                   double* dip, double* after) {
-  size_t lo = 0, hi = ops.size();
-  while (lo < hi && ops[lo] <= 0) ++lo;
-  while (hi > lo && ops[hi - 1] <= 0) --hi;
-  if (hi - lo < 3) return false;
-  size_t dip_w = lo + 1;
-  for (size_t w = lo + 1; w + 1 < hi; ++w) {
-    if (ops[w] < ops[dip_w]) dip_w = w;
-  }
-  *before = 0;
-  for (size_t w = lo; w < dip_w; ++w) {
-    if (ops[w] > *before) *before = ops[w];
-  }
-  *dip = ops[dip_w];
-  *after = 0;
-  for (size_t w = dip_w + 1; w < hi; ++w) {
-    if (ops[w] > *after) *after = ops[w];
-  }
-  return *before > 0 && *after > 0;
-}
+constexpr int kCrashAfter = 2;  // windows completed before the victim dies
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
-  if (flags.ranks <= 0) flags.ranks = 3;
+  Flags defaults;
+  defaults.ranks = 3;
+  Flags flags = Flags::Parse(argc, argv, defaults);
   const int iters = flags.iters > 0 ? flags.iters : 500;
   const size_t vallen = flags.vallen > 0 ? flags.vallen : 100;
   const std::string repo = "nvme:" + flags.repo + "/repl_failover";
@@ -93,16 +67,16 @@ int main(int argc, char** argv) {
   setenv("PAPYRUSKV_REPLICAS", "2", 1);
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 0);
   setenv("PAPYRUSKV_RETRY_MAX", "2", 0);
-  // The sampler IS the measurement: 20ms windows resolve a dip whose
-  // floor is one 50ms timeout ladder.
   const std::string obs_dir = flags.repo + "/obs";
-  setenv("PAPYRUSKV_OBS", (obs_dir + ",20").c_str(), 1);
+  setenv("PAPYRUSKV_OBS", obs_dir.c_str(), 1);
 
   printf("repl_failover: %d ranks (k=2), %d windows x %d puts/rank, "
-         "rank %d dies after window %d, 20ms sampler -> %s\n",
+         "rank %d dies after window %d, dumps -> %s\n",
          flags.ranks, kWindows, iters, victim, kCrashAfter, obs_dir.c_str());
 
-  std::string rendered;  // rank 0's merged-lane tables, printed post-job
+  // Filled on rank 0: puts/s per window, and the shape read off them.
+  std::vector<double> ops(kWindows, 0);
+  double before = 0, dip = 0, after = 0;
   RunKvJob(flags.ranks, /*ranks_per_node=*/flags.ranks, repo,
            [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
@@ -116,9 +90,16 @@ int main(int argc, char** argv) {
                "papyruskv_open");
     const std::string& value = ValueBlob(vallen);
 
+    // Per window: this rank's completed puts, and (rank 0) the window's
+    // length between the barriers that bracket it.
+    std::vector<uint64_t> done(kWindows, 0);
+    std::vector<uint64_t> window_us(kWindows, 0);
     bool dead = false;
-    for (int w = 0; w < kWindows; ++w) {
+    uint64_t t0 = 0;
+    for (int w = 0; w <= kWindows; ++w) {
       ctx.comm.Barrier();
+      if (w > 0) window_us[w - 1] = NowMicros() - t0;
+      if (w == kWindows) break;
       if (w == kCrashAfter && ctx.rank == 0) {
         const std::string spec =
             "rank.crash=rank" + std::to_string(victim) + "@op1";
@@ -127,65 +108,68 @@ int main(int argc, char** argv) {
         }
       }
       ctx.comm.Barrier();
+      t0 = NowMicros();
 
-      if (!dead) {
-        for (int i = 0; i < iters; ++i) {
-          const std::string k = "w" + std::to_string(w) + "/r" +
-                                std::to_string(ctx.rank) + "." +
-                                std::to_string(i);
-          const int rc = papyruskv_put(db, k.data(), k.size(), value.data(),
-                                       value.size());
-          if (rc != PAPYRUSKV_SUCCESS) {
-            // Only the victim may fail, and only at its injected crash; a
-            // survivor's put rides detection -> promotion -> retry inside
-            // the call and must come back SUCCESS.
-            if (ctx.rank != victim) BenchCheck(rc, "papyruskv_put");
-            dead = true;
-            break;
-          }
+      for (int i = 0; i < iters && !dead; ++i) {
+        const std::string k = "w" + std::to_string(w) + "/r" +
+                              std::to_string(ctx.rank) + "." +
+                              std::to_string(i);
+        const int rc = papyruskv_put(db, k.data(), k.size(), value.data(),
+                                     value.size());
+        if (rc != PAPYRUSKV_SUCCESS) {
+          // Only the victim may fail, and only at its injected crash; a
+          // survivor's put rides detection -> promotion -> retry inside
+          // the call and must come back SUCCESS.
+          if (ctx.rank != victim) BenchCheck(rc, "papyruskv_put");
+          dead = true;
+        } else {
+          ++done[w];
         }
       }
     }
 
-    // Every rank (the dead one included — its sampler kept ticking)
-    // contributes its series; rank 0 merges them on the shared clock.
-    const std::string mine = core::KvRuntime::Current()->TimelineJson();
+    // Every rank (the dead one included) contributes its counts.
+    std::string mine(8 * kWindows, '\0');
+    for (int w = 0; w < kWindows; ++w) EncodeFixed64(&mine[8 * w], done[w]);
     std::vector<std::string> all;
     ctx.comm.Allgather(Slice(mine), &all);
     if (ctx.rank == 0) {
-      std::vector<obs::TimelineDoc> docs;
-      for (const std::string& text : all) {
-        obs::TimelineDoc doc;
-        if (obs::ParseTimelineJson(text, &doc)) docs.push_back(std::move(doc));
-      }
-      const obs::MergedTimeline merged = obs::MergeTimelines(docs);
-      rendered = obs::RenderTimelineTables(merged);
-      const std::vector<double> ops = obs::WindowOpsPerSec(merged);
-      double before = 0, dip = 0, after = 0;
-      if (!FailoverShape(ops, &before, &dip, &after)) {
-        fprintf(stderr,
-                "repl_failover: merged series too short for a dip "
-                "(%zu windows) — is the sampler on?\n", ops.size());
-      }
       auto& reg = core::KvRuntime::Current()->metrics();
+      for (int w = 0; w < kWindows; ++w) {
+        uint64_t puts = 0;
+        for (const std::string& counts : all) {
+          puts += DecodeFixed64(counts.data() + 8 * w);
+        }
+        ops[w] = window_us[w] > 0 ? static_cast<double>(puts) * 1e6 /
+                                        static_cast<double>(window_us[w])
+                                  : 0;
+        reg.GetGauge("bench.w" + std::to_string(w) + "_ops")
+            .Set(static_cast<int64_t>(ops[w]));
+      }
+      before = *std::max_element(ops.begin(), ops.begin() + kCrashAfter);
+      dip = ops[kCrashAfter];
+      after = *std::max_element(ops.begin() + kCrashAfter + 1, ops.end());
       reg.GetGauge("bench.before_krps").Set(static_cast<int64_t>(before / 1e3));
       reg.GetGauge("bench.dip_krps").Set(static_cast<int64_t>(dip / 1e3));
       reg.GetGauge("bench.after_krps").Set(static_cast<int64_t>(after / 1e3));
       reg.GetGauge("bench.after_vs_before_x100")
           .Set(static_cast<int64_t>(before > 0 ? after / before * 100 : 0));
-      reg.GetGauge("bench.tl.window_us")
-          .Set(static_cast<int64_t>(merged.window_us));
-      for (size_t w = 0; w < ops.size(); ++w) {
-        char name[32];
-        snprintf(name, sizeof(name), "bench.tl.w%02zu_ops", w);
-        reg.GetGauge(name).Set(static_cast<int64_t>(ops[w]));
-      }
     }
     WriteBenchMetrics(ctx.comm, "repl_failover");
     BenchCheck(papyruskv_close(db), "papyruskv_close");
   });
 
-  fputs(rendered.c_str(), stdout);
+  Table table("repl_failover: put rate per window",
+              {"window", "puts/s", "phase"});
+  for (int w = 0; w < kWindows; ++w) {
+    table.AddRow({std::to_string(w), Table::Num(ops[w], 0),
+                  w < kCrashAfter    ? "before"
+                  : w == kCrashAfter ? "dip (crash)"
+                                     : "after"});
+  }
+  table.Print();
+  printf("before %.0f puts/s, dip %.0f puts/s, after %.0f puts/s\n", before,
+         dip, after);
   CleanupRepo(repo);
   return 0;
 }

@@ -15,8 +15,8 @@
 #                  pass with the recovery paths doing real work; a red run
 #                  prints the PAPYRUSKV_FAULT_SEED to reproduce it with.
 #                  Both ctest stages run with the one observability switch
-#                  on (PAPYRUSKV_OBS=build/flight/<stage>,50: stats, trace,
-#                  50ms timeline sampler, flight dumps), and a failure
+#                  on (PAPYRUSKV_OBS=build/flight/<stage>: stats, trace,
+#                  flight dumps), and a failure
 #                  archives that directory as build/flight_<stage>.tar.gz
 #                  (next to build/analyze_findings.json)
 #   4. tsa         Clang build with -Werror=thread-safety
@@ -30,13 +30,12 @@
 #                  smoke runs with the metrics hook:
 #                  each writes an aggregate BENCH_<name>.json snapshot at
 #                  the repo root (committed, so metric drift shows in
-#                  review); micro_kv runs with PAPYRUSKV_OBS=<dir>,20
-#                  (stats + trace + sampler, overhead bound: E14);
-#                  repl_failover runs 4 ranks with the sampler as its
-#                  measurement under a 180s timeout (a hang archives its
-#                  obs dir and fails the stage) and the merged series is
-#                  re-rendered through papyrus_inspect --timeline, so the
-#                  whole observe-merge-render path gates CI; then
+#                  review); micro_kv runs with PAPYRUSKV_OBS=<dir>
+#                  (stats + trace + flight, overhead bound: E14);
+#                  repl_failover runs 4 ranks under a 180s timeout (a
+#                  hang archives its obs dir and fails the stage), times
+#                  its own barrier-bracketed windows, and the victim's
+#                  flight dump must record the crash; then
 #                  perfbench --smoke runs of hot_sync (gets on MemTable-
 #                  resident keys), ingest (flush -> compaction -> reopen
 #                  -> read-back) and nvm_read (gets over SSTables), each
@@ -63,7 +62,7 @@ SKIPPED=()
 
 # Flight-recorder post-mortems (obs/flight.h): the ctest stages run with
 # PAPYRUSKV_OBS pointed under here so any rank that times out or crashes
-# leaves a dump; on a red stage the dumps (plus timeline series) are
+# leaves a dump; on a red stage the dumps (plus stats and traces) are
 # archived next to build/analyze_findings.json for the same tooling to
 # pick up.  `archive_flight <tag> [dir]` archives dir (default FLIGHT_DIR).
 FLIGHT_DIR="build/flight"
@@ -108,7 +107,7 @@ stage build-test "[2/7] build + ctest"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
-if ! PAPYRUSKV_OBS="${FLIGHT_DIR}/ctest,50" \
+if ! PAPYRUSKV_OBS="${FLIGHT_DIR}/ctest" \
     ctest --test-dir build --output-on-failure -j "${JOBS}"; then
   archive_flight build-test
   exit 1
@@ -117,7 +116,7 @@ fi
 stage fault "[3/7] fault matrix (PAPYRUSKV_FAULTS=${FAULT_PROFILE})"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
 if ! PAPYRUSKV_FAULTS="${FAULT_PROFILE}" PAPYRUSKV_FAULT_SEED="${FAULT_SEED}" \
-    PAPYRUSKV_OBS="${FLIGHT_DIR}/fault,50" \
+    PAPYRUSKV_OBS="${FLIGHT_DIR}/fault" \
     ctest --test-dir build --output-on-failure -j "${JOBS}"; then
   echo "ci.sh: fault matrix FAILED under seed ${FAULT_SEED} — reproduce with:"
   echo "  PAPYRUSKV_FAULTS=${FAULT_PROFILE} PAPYRUSKV_FAULT_SEED=${FAULT_SEED} \\"
@@ -163,10 +162,10 @@ done
 stage bench "[7/7] bench snapshots (BENCH_*.json)"
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "${BENCH_TMP}"' EXIT
-# micro_kv with every observability channel on (stats, causal trace, 20ms
-# timeline sampler) — the E14 overhead guard's configuration (bound: <5%,
+# micro_kv with every observability channel on (stats, causal trace,
+# flight dumps) — the E14 overhead guard's configuration (bound: <5%,
 # EXPERIMENTS.md).
-PAPYRUSKV_OBS="${BENCH_TMP}/mkv_obs,20" \
+PAPYRUSKV_OBS="${BENCH_TMP}/mkv_obs" \
   ./build/bench/micro_kv --ranks=2 --iters=20000 --repo="${BENCH_TMP}/mkv"
 # Scaled-down fig06: the flush/get path across every storage model.
 ./build/bench/fig06_basic --ranks=2 --iters=4 --scale=0 \
@@ -176,16 +175,15 @@ PAPYRUSKV_OBS="${BENCH_TMP}/mkv_obs,20" \
 # gauges so the batching speedup is part of the results trajectory.
 ./build/bench/micro_kv_async --ranks=8 --iters=1000 \
   --repo="${BENCH_TMP}/mka"
-# Replication failover at 4 ranks, measured by the timeline sampler
-# (DESIGN.md §12+§13); the snapshot carries before/dip/after KRPS plus
-# the merged per-window series (bench.tl.*).  The bench writes its own
-# obs dir (<repo>/obs), whose per-rank dumps are then merged and rendered
-# through papyrus_inspect --timeline so the full observe-merge-render path
-# gates CI.  PAPYRUSKV_TIMEOUT_MS=250: on a single-core builder the
-# promoted rank serves two partitions and the default 50ms ladder sits
-# below its loaded service time (retry livelock).  The run can stall
-# after the promotion (ROADMAP item 1); the timeout turns that stall into
-# a red stage with the obs dir archived, instead of a hung job.
+# Replication failover at 4 ranks (DESIGN.md §12): the bench times its six
+# barrier-bracketed windows itself; the snapshot carries before/dip/after
+# KRPS plus the per-window put rates (bench.w<k>_ops).  The bench writes
+# its own obs dir (<repo>/obs), where the victim's (rank 3's) flight dump
+# must record the crash.  PAPYRUSKV_TIMEOUT_MS=250: on a single-core
+# builder the promoted rank serves two partitions and the default 50ms
+# ladder sits below its loaded service time (retry livelock).  The run can
+# stall after the promotion (ROADMAP item 1); the timeout turns that stall
+# into a red stage with the obs dir archived, instead of a hung job.
 if ! PAPYRUSKV_TIMEOUT_MS=250 timeout 180 \
     ./build/bench/repl_failover --ranks=4 --iters=200 \
     --repo="${BENCH_TMP}/rfo"; then
@@ -193,10 +191,7 @@ if ! PAPYRUSKV_TIMEOUT_MS=250 timeout 180 \
   archive_flight bench "${BENCH_TMP}/rfo/obs"
   exit 1
 fi
-./build/tools/papyrus_inspect --timeline "${BENCH_TMP}/rfo/obs" \
-  > "${BENCH_TMP}/rfo_merged.txt"
-head -12 "${BENCH_TMP}/rfo_merged.txt"
-grep -q "crash" "${BENCH_TMP}/rfo_merged.txt"  # overlay reached the render
+grep -q '"kind": "crash"' "${BENCH_TMP}/rfo/obs/flight.rank3.json"
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \
   BENCH_repl_failover.json
 # The MemTable index (hot_sync: every key stays MemTable-resident) and the

@@ -2,7 +2,7 @@
 //
 // Every figure bench accepts the same core knobs so sweeps can be resized
 // to the host machine:
-//   --ranks=N        max emulated ranks (default 8)
+//   --ranks=N        max emulated ranks (default 8, or the bench's own)
 //   --iters=N        operations per rank per phase (default: per bench)
 //   --keylen=N       key size in bytes (default 16, the paper's)
 //   --vallen=N       value size in bytes (where the bench doesn't sweep it)
@@ -27,7 +27,10 @@ struct Flags {
   std::string repo = "/tmp/papyrus_bench";
 
   static Flags Parse(int argc, char** argv) {
-    Flags f;
+    return Parse(argc, argv, Flags());
+  }
+  // `f` carries the bench's own defaults; the command line overrides them.
+  static Flags Parse(int argc, char** argv, Flags f) {
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
       auto val = [&](const char* prefix) -> const char* {

@@ -6,6 +6,7 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "core/runtime.h"
 #include "obs/export.h"
 
 namespace papyrus::bench {
@@ -35,20 +36,12 @@ void WriteBenchMetrics(const net::Communicator& comm,
                        const std::string& bench_name) {
   // Current() is the rank's registry while the runtime is up (the bench
   // calls this between the measured phase and papyruskv_finalize).
-  obs::Snapshot mine = obs::Current().TakeSnapshot();
-  std::vector<std::string> all;
-  comm.Allgather(obs::SerializeSnapshot(mine), &all);
+  const std::string mine =
+      obs::SnapshotToJson(obs::Current().TakeSnapshot(), obs::StatsMeta());
+  const std::string agg = core::RollUpStats(comm, mine);
   if (comm.rank() != 0) return;
-  obs::Snapshot agg;
-  for (const auto& wire : all) {
-    obs::Snapshot part;
-    if (obs::DeserializeSnapshot(wire, &part)) agg.Merge(part);
-  }
-  obs::StatsMeta meta;
-  meta.nranks = comm.size();
-  meta.aggregated = true;
   const std::string path = "BENCH_" + bench_name + ".json";
-  Status s = obs::WriteTextFile(path, obs::SnapshotToJson(agg, meta));
+  Status s = obs::WriteTextFile(path, agg);
   if (s.ok()) {
     printf("[metrics] wrote %s\n", path.c_str());
   } else {

@@ -386,8 +386,6 @@ int papyruskv_health(papyruskv_health_t* health) {
   health->migration_queue_depth = h.migration_queue_depth;
   health->repl_lag_ops = h.repl_lag_ops;
   health->uptime_us = h.uptime_us;
-  health->window_us = h.window_us;
-  health->timeline_samples = h.timeline_samples;
   health->put_rate = h.put_rate;
   health->get_rate = h.get_rate;
   health->put_p99_us = h.put_p99_us;

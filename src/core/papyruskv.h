@@ -238,9 +238,8 @@ typedef struct papyruskv_option_struct {
 // reads plus two brief leaf-lock peeks; no collectives, no I/O).  Works on
 // a crashed rank — health is exactly what you ask a sick rank for.
 //
-// put/get rates and p99s cover the last PAPYRUSKV_OBS sampler
-// window when the timeline sampler is on (timeline_samples > 0), else the
-// whole run; window_us reports which interval the rates describe.
+// put/get rates and p99s cover the whole run (uptime_us), from the
+// cumulative kv.put_us / kv.get_us histograms.
 typedef struct papyruskv_health_struct {
   int rank;
   int nranks;
@@ -252,9 +251,7 @@ typedef struct papyruskv_health_struct {
   long long migration_queue_depth;  /* MemTables awaiting dispatch      */
   long long repl_lag_ops;           /* primary-to-follower append lag   */
   unsigned long long uptime_us;
-  unsigned long long window_us;        /* interval the rates cover      */
-  unsigned long long timeline_samples; /* 0 = sampler off               */
-  double put_rate;        /* puts/s over window_us                      */
+  double put_rate;        /* puts/s over uptime_us                      */
   double get_rate;
   double put_p99_us;
   double get_p99_us;

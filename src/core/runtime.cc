@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -55,21 +54,15 @@ void DumpFlight(obs::FlightRecorder& flight, const char* reason) {
 // Local kv root spans recorded per thread: one in this many (E12b).
 constexpr uint32_t kKvTraceSampleEvery = 64;
 
-// Parses PAPYRUSKV_OBS=<dir>[,<interval_ms>].  Outside input: a present
-// but malformed interval is rejected rather than defaulted.
+// Parses PAPYRUSKV_OBS=<dir>.  Outside input: a ',' is rejected rather
+// than taken into the directory name, so a stale "<dir>,<ms>" (the retired
+// sampler-interval suffix) fails init instead of creating "<dir>,<ms>/".
 Status ParseObsConfig(const std::string& spec, ObsConfig* out) {
-  const size_t comma = spec.rfind(',');
-  out->dir = spec.substr(0, comma);
-  if (comma == std::string::npos) return Status::OK();
-  const char* last = spec.data() + spec.size();
-  int32_t ms = 0;
-  const auto [ptr, ec] = std::from_chars(spec.data() + comma + 1, last, ms);
-  if (out->dir.empty() || ec != std::errc() || ptr != last || ms <= 0) {
-    return Status::InvalidArg(
-        "PAPYRUSKV_OBS wants <dir>[,<interval_ms>] with interval_ms > 0, "
-        "got '" + spec + "'");
+  if (spec.find(',') != std::string::npos) {
+    return Status::InvalidArg("PAPYRUSKV_OBS wants a directory, got '" +
+                              spec + "'");
   }
-  out->interval_ms = static_cast<uint64_t>(ms);
+  out->dir = spec;
   return Status::OK();
 }
 }  // namespace
@@ -183,15 +176,10 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository,
   // inside the E12 overhead budget; RPC/handler/store spans are never
   // sampled.
   trace_.SetKvSampleEvery(kKvTraceSampleEvery);
-  // PAPYRUSKV_OBS arms stats, trace, sampler and flight dumps together.
-  // Configure resolves the sampler's tracked-series pointers now so the
-  // tick itself never touches the registry lock (enforced by
-  // papyrus_analyze's sampler-path walk).  Unset, the flight recorder
-  // still records but never dumps.
+  // PAPYRUSKV_OBS arms stats, trace and flight dumps together.  Unset,
+  // the flight recorder still records but never dumps.
   if (!obs_.dir.empty()) {
     trace_.set_enabled(true);
-    timeline_.Configure(obs::TimelineSchema::Default(),
-                        obs_.interval_ms * 1000);
     flight_.ConfigureDump(obs_.RankPath("flight", ctx.rank), ctx.rank);
   }
 }
@@ -206,15 +194,9 @@ void KvRuntime::StartThreads() {
   dispatcher_thread_ = std::thread([this] { DispatcherLoop(); });
   handler_thread_ = std::thread([this] { HandlerLoop(); });
   pipeline_.Start();
-  // No-op unless PAPYRUSKV_OBS configured it; the sampler only
-  // reads metrics, so it starts last and stops first.
-  timeline_.Start([this] { AdoptObservability("sampler"); });
 }
 
 void KvRuntime::StopThreads() {
-  // The sampler goes first (it only observes); Stop takes the tail-window
-  // sample so short runs still export a series.
-  timeline_.Stop();
   // Auxiliary (restart) tasks may still need the dispatcher/handler/
   // compaction threads; join them before tearing those down.
   std::vector<std::thread> aux;
@@ -267,15 +249,27 @@ std::string ObsConfig::RankPath(const char* family, int rank) const {
   return obs::StatsPathForRank(dir + "/" + family + ".json", rank);
 }
 
+std::string RollUpStats(const net::Communicator& comm,
+                        const std::string& mine_json) {
+  std::vector<std::string> all;
+  comm.Allgather(mine_json, &all);
+  if (comm.rank() != 0) return "";
+  obs::Snapshot agg;
+  for (const std::string& json : all) {
+    obs::Snapshot part;
+    if (obs::ParseStatsJson(json, &part, nullptr)) agg.Merge(part);
+  }
+  obs::StatsMeta meta;
+  meta.nranks = comm.size();
+  meta.aggregated = true;
+  return obs::SnapshotToJson(agg, meta);
+}
+
 std::string KvRuntime::StatsJson() const {
   obs::StatsMeta meta;
   meta.rank = ctx_.rank;
   meta.nranks = ctx_.size();
   return obs::SnapshotToJson(metrics_.TakeSnapshot(), meta);
-}
-
-std::string KvRuntime::TimelineJson() const {
-  return obs::TimelineDocToJson(timeline_.Doc(ctx_.rank, ctx_.size()));
 }
 
 HealthSnapshot KvRuntime::Health() {
@@ -300,36 +294,15 @@ HealthSnapshot KvRuntime::Health() {
   h.repl_lag_ops = g_repl_lag_->Value();
   const uint64_t now = NowMicros();
   h.uptime_us = now >= start_us_ ? now - start_us_ : 0;
-  h.timeline_samples = timeline_.samples_taken();
-
-  obs::TimelineSample last;
-  if (timeline_.enabled() && timeline_.Latest(&last) && last.dt_us > 0) {
-    // Live rates over the sampler's last window.
-    h.window_us = last.dt_us;
-    const auto& hists = timeline_.schema().histograms;
-    const int pi = obs::SeriesIndex(hists, "kv.put_us");
-    const int gi = obs::SeriesIndex(hists, "kv.get_us");
-    const double secs = static_cast<double>(last.dt_us) / 1e6;
-    if (pi >= 0) {
-      h.put_rate = static_cast<double>(last.hists[pi].count) / secs;
-      h.put_p99_us = static_cast<double>(last.hists[pi].p99);
-    }
-    if (gi >= 0) {
-      h.get_rate = static_cast<double>(last.hists[gi].count) / secs;
-      h.get_p99_us = static_cast<double>(last.hists[gi].p99);
-    }
-  } else {
-    // Sampler off: whole-run averages from the cumulative histograms.
-    h.window_us = h.uptime_us;
-    const double secs =
-        h.uptime_us ? static_cast<double>(h.uptime_us) / 1e6 : 1;
-    const obs::HistogramData put = h_kv_put_us_->Snapshot();
-    const obs::HistogramData get = h_kv_get_us_->Snapshot();
-    h.put_rate = static_cast<double>(put.count) / secs;
-    h.get_rate = static_cast<double>(get.count) / secs;
-    h.put_p99_us = put.Percentile(99);
-    h.get_p99_us = get.Percentile(99);
-  }
+  // Whole-run rates and p99s from the cumulative histograms.
+  const double secs =
+      h.uptime_us ? static_cast<double>(h.uptime_us) / 1e6 : 1;
+  const obs::HistogramData put = h_kv_put_us_->Snapshot();
+  const obs::HistogramData get = h_kv_get_us_->Snapshot();
+  h.put_rate = static_cast<double>(put.count) / secs;
+  h.get_rate = static_cast<double>(get.count) / secs;
+  h.put_p99_us = put.Percentile(99);
+  h.get_p99_us = get.Percentile(99);
   return h;
 }
 
@@ -338,31 +311,15 @@ void KvRuntime::ExportObservability() {
   auto warn = [](const Status& s) {
     if (!s.ok()) PLOG_WARN << "observability dump failed: " << s.ToString();
   };
-  obs::Snapshot snap = metrics_.TakeSnapshot();
-  obs::StatsMeta meta;
-  meta.rank = ctx_.rank;
-  meta.nranks = ctx_.size();
-  warn(obs::WriteTextFile(obs_.RankPath("stats", ctx_.rank),
-                          obs::SnapshotToJson(snap, meta)));
+  const std::string mine = StatsJson();
+  warn(obs::WriteTextFile(obs_.RankPath("stats", ctx_.rank), mine));
 
-  // Rank-0 roll-up: every rank contributes its snapshot, rank 0 writes
-  // the merged aggregate to <dir>/stats.json.
-  std::vector<std::string> all;
-  barrier_comm_.Allgather(obs::SerializeSnapshot(snap), &all);
-  if (ctx_.rank == 0) {
-    obs::Snapshot agg;
-    for (const auto& wire : all) {
-      obs::Snapshot part;
-      if (obs::DeserializeSnapshot(wire, &part)) agg.Merge(part);
-    }
-    meta.aggregated = true;
-    warn(obs::WriteTextFile(obs_.dir + "/stats.json",
-                            obs::SnapshotToJson(agg, meta)));
-  }
+  // Rank-0 roll-up: every rank contributes its dump, rank 0 writes the
+  // merged aggregate to <dir>/stats.json.
+  const std::string agg = RollUpStats(barrier_comm_, mine);
+  if (ctx_.rank == 0) warn(obs::WriteTextFile(obs_.dir + "/stats.json", agg));
 
   warn(trace_.WriteChromeTrace(obs_.RankPath("trace", ctx_.rank), ctx_.rank));
-  warn(obs::WriteTextFile(obs_.RankPath("timeline", ctx_.rank),
-                          TimelineJson()));
   // Fault paths dump earlier, on their own, the moment they fire; this is
   // the run's final window.
   DumpFlight(flight_, "finalize");

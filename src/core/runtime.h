@@ -44,7 +44,6 @@
 #include "net/runtime.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace papyrus::core {
@@ -102,9 +101,8 @@ struct MigrationJob {
 
 // Live per-rank health snapshot (papyruskv_health): read from the running
 // store without stopping it — atomics, two leaf-mutex peeks, no
-// collectives.  Rates/percentiles come from the timeline sampler's last
-// window when the sampler is on (PAPYRUSKV_OBS), else from the whole-run
-// cumulative histograms (window_us tells the caller which).
+// collectives.  Rates and percentiles cover the whole run (uptime_us), from
+// the cumulative kv.put_us / kv.get_us histograms.
 struct HealthSnapshot {
   int rank = 0;
   int nranks = 0;
@@ -116,23 +114,27 @@ struct HealthSnapshot {
   int64_t migration_queue_depth = 0;  // net.migration_queue_depth
   int64_t repl_lag_ops = 0;           // repl.lag_ops
   uint64_t uptime_us = 0;
-  uint64_t window_us = 0;         // the window the rates cover
-  uint64_t timeline_samples = 0;  // 0 = sampler off
-  double put_rate = 0;            // puts/s over window_us
+  double put_rate = 0;  // puts/s over uptime_us
   double get_rate = 0;
   double put_p99_us = 0;
   double get_p99_us = 0;
 };
 
-// The one telemetry switch, PAPYRUSKV_OBS=<dir>[,<interval_ms>]
-// (DESIGN.md §6): parsed once by Init.  A non-empty dir arms stats, trace,
-// timeline sampler and flight dumps, all written to fixed names in dir.
+// The one telemetry switch, PAPYRUSKV_OBS=<dir> (DESIGN.md §6): parsed
+// once by Init.  A non-empty dir arms stats, trace and flight dumps, all
+// written to fixed names in dir.
 struct ObsConfig {
-  std::string dir;            // empty = telemetry off
-  uint64_t interval_ms = 50;  // timeline sampler window
+  std::string dir;  // empty = telemetry off
   // <dir>/<family>.rank<k>.json
   std::string RankPath(const char* family, int rank) const;
 };
+
+// The cross-rank roll-up of metrics: allgathers every rank's stats-v1 dump
+// (`mine_json`, from obs::SnapshotToJson) over `comm` and merges them on
+// rank 0 through obs::ParseStatsJson.  Returns the aggregate as a stats-v1
+// document on rank 0 and "" on every other rank.  Collective.
+std::string RollUpStats(const net::Communicator& comm,
+                        const std::string& mine_json);
 
 // First handle value for papyruskv_*_async events.  Async-op handles and
 // EventRegistry ids (checkpoint/restart/destroy) share the C API's
@@ -174,15 +176,9 @@ class KvRuntime {
   obs::Registry& metrics() { return metrics_; }
   obs::TraceBuffer& trace() { return trace_; }
   obs::FlightRecorder& flight() { return flight_; }
-  // The continuous time-series sampler (DESIGN.md §13), enabled by
-  // PAPYRUSKV_OBS; its thread starts/stops with the runtime's.
-  obs::TimelineSampler& timeline() { return timeline_; }
   // Renders this rank's metrics as a stats-v1 JSON document
   // (papyruskv_stats).
   std::string StatsJson() const;
-  // Renders this rank's timeline ring as a timeline-v1 JSON document; safe
-  // while the sampler is running (benches gather it mid-run).
-  std::string TimelineJson() const;
   // Fills a live health snapshot (papyruskv_health); works on a crashed
   // rank (health is exactly what you ask a sick rank for).
   HealthSnapshot Health();
@@ -325,9 +321,9 @@ class KvRuntime {
   // simulated power loss of §4.2's failure model.
   void TriggerCrash();
 
-  // With PAPYRUSKV_OBS set, writes every rank's stats, trace, flight and
-  // timeline files plus the rank-0 aggregate stats.json (allgather +
-  // merge) into the obs dir.  Collective when set; reads no environment.
+  // With PAPYRUSKV_OBS set, writes every rank's stats, trace and flight
+  // files plus the rank-0 aggregate stats.json (RollUpStats) into the obs
+  // dir.  Collective when set; reads no environment.
   void ExportObservability();
 
   net::RankContext& ctx_;
@@ -399,10 +395,6 @@ class KvRuntime {
   obs::Histogram* h_kv_put_us_;      // kv.put_us
   obs::Histogram* h_kv_get_us_;      // kv.get_us
 
-  // Timeline sampler (DESIGN.md §13): configured from PAPYRUSKV_OBS
-  // in the constructor, started/stopped with the runtime threads.  Declared
-  // after metrics_ (it resolves tracked metrics from it).
-  obs::TimelineSampler timeline_{&metrics_};
   const uint64_t start_us_ = NowMicros();
 
   // Declared last: its constructor resolves metrics from metrics_ above,

@@ -1,11 +1,11 @@
 #include "obs/export.h"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 namespace papyrus::obs {
 
@@ -124,75 +124,11 @@ std::string StatsPathForRank(const std::string& path, int rank) {
 
 Status WriteTextFile(const std::string& path, const std::string& contents) {
   FILE* f = fopen(path.c_str(), "w");
-  if (!f) return Status::IOError("stats: cannot open " + path);
+  if (!f) return Status::IOError("cannot open " + path);
   const size_t n = fwrite(contents.data(), 1, contents.size(), f);
   fclose(f);
-  if (n != contents.size()) {
-    return Status::IOError("stats: short write " + path);
-  }
+  if (n != contents.size()) return Status::IOError("short write " + path);
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Roll-up wire form
-// ---------------------------------------------------------------------------
-
-std::string SerializeSnapshot(const Snapshot& snap) {
-  std::ostringstream ss;
-  for (const auto& [name, v] : snap.counters) {
-    ss << "C " << name << " " << v << "\n";
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    ss << "G " << name << " " << v << "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    ss << "H " << name << " " << h.sum << " " << h.min << " " << h.max;
-    for (size_t b = 0; b < kHistogramBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      ss << " " << b << ":" << h.buckets[b];
-    }
-    ss << "\n";
-  }
-  return ss.str();
-}
-
-bool DeserializeSnapshot(const std::string& data, Snapshot* out) {
-  *out = Snapshot();
-  std::istringstream ss(data);
-  std::string line;
-  while (std::getline(ss, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kind, name;
-    if (!(ls >> kind >> name)) return false;
-    if (kind == "C") {
-      uint64_t v;
-      if (!(ls >> v)) return false;
-      out->counters[name] = v;
-    } else if (kind == "G") {
-      int64_t v;
-      if (!(ls >> v)) return false;
-      out->gauges[name] = v;
-    } else if (kind == "H") {
-      HistogramData h;
-      if (!(ls >> h.sum >> h.min >> h.max)) return false;
-      std::string pair;
-      while (ls >> pair) {
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) return false;
-        const size_t b = strtoull(pair.c_str(), nullptr, 10);
-        const uint64_t n = strtoull(pair.c_str() + colon + 1, nullptr, 10);
-        if (b >= kHistogramBuckets) return false;
-        h.buckets[b] = n;
-        h.count += n;
-      }
-      if (h.count == 0) h.min = 0;
-      out->histograms[name] = h;
-    } else {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +286,7 @@ class JsonParser {
     out->number = strtod(start, &end);
     if (end == start) return false;
     out->type = JsonValue::Type::kNumber;
+    out->str.assign(start, static_cast<size_t>(end - start));
     pos_ += static_cast<size_t>(end - start);
     return true;
   }
@@ -357,6 +294,16 @@ class JsonParser {
   const std::string& s_;
   size_t pos_ = 0;
 };
+
+// Integer fields are read from the number's literal, not its double, so
+// counters, sums and bucket bounds above 2^53 round-trip exactly.
+template <typename T>
+T IntOf(const JsonValue& v) {
+  T out = 0;
+  const char* p = v.str.data();
+  return std::from_chars(p, p + v.str.size(), out).ec == std::errc() ? out
+                                                                     : 0;
+}
 
 }  // namespace
 
@@ -389,36 +336,25 @@ bool ParseStatsJson(const std::string& text, Snapshot* out, StatsMeta* meta) {
   *out = Snapshot();
   if (const JsonValue* c = root.Find("counters")) {
     for (const auto& [name, v] : c->object) {
-      out->counters[name] = static_cast<uint64_t>(v.number);
+      out->counters[name] = IntOf<uint64_t>(v);
     }
   }
   if (const JsonValue* g = root.Find("gauges")) {
     for (const auto& [name, v] : g->object) {
-      out->gauges[name] = static_cast<int64_t>(v.number);
+      out->gauges[name] = IntOf<int64_t>(v);
     }
   }
   if (const JsonValue* hs = root.Find("histograms")) {
     for (const auto& [name, hv] : hs->object) {
       HistogramData h;
-      if (const JsonValue* v = hv.Find("sum")) {
-        h.sum = static_cast<uint64_t>(v->number);
-      }
-      if (const JsonValue* v = hv.Find("min")) {
-        h.min = static_cast<uint64_t>(v->number);
-      }
-      if (const JsonValue* v = hv.Find("max")) {
-        h.max = static_cast<uint64_t>(v->number);
-      }
+      if (const JsonValue* v = hv.Find("sum")) h.sum = IntOf<uint64_t>(*v);
+      if (const JsonValue* v = hv.Find("min")) h.min = IntOf<uint64_t>(*v);
+      if (const JsonValue* v = hv.Find("max")) h.max = IntOf<uint64_t>(*v);
       if (const JsonValue* v = hv.Find("buckets")) {
         for (const JsonValue& pair : v->array) {
           if (pair.array.size() != 2) return false;
-          // The top bucket's bound is 2^64-1, which round-trips through
-          // double as 2^64 — clamp before the cast.
-          const double u = pair.array[0].number;
-          const uint64_t upper =
-              u >= 1.8e19 ? ~uint64_t{0} : static_cast<uint64_t>(u);
-          const uint64_t n = static_cast<uint64_t>(pair.array[1].number);
-          h.buckets[HistogramBucketOf(upper)] += n;
+          const uint64_t n = IntOf<uint64_t>(pair.array[1]);
+          h.buckets[HistogramBucketOf(IntOf<uint64_t>(pair.array[0]))] += n;
           h.count += n;
         }
       }

@@ -1,5 +1,5 @@
-// Snapshot export: JSON dumps, the compact wire form used for the rank-0
-// roll-up (allgather + merge), and a small JSON reader so tools and tests
+// Snapshot export: JSON dumps (also the form ranks exchange for the rank-0
+// roll-up, core::RollUpStats) and a small JSON reader so tools and tests
 // can consume the dumps without an external parser.
 //
 // Dump format (stats-v1):
@@ -40,16 +40,10 @@ std::string SnapshotToJson(const Snapshot& snap, const StatsMeta& meta);
 // appends it ("/tmp/stats.json" -> "/tmp/stats.rank3.json").
 std::string StatsPathForRank(const std::string& path, int rank);
 
-// Writes `contents` to `path` with plain stdio.  Stats/trace dumps are
-// host-side diagnostics, deliberately outside the simulated NVM.
+// Writes `contents` to `path` with plain stdio: the one writer for stats,
+// trace and flight dumps, which are host-side diagnostics deliberately
+// outside the simulated NVM (and obs stays below sim in the layering).
 Status WriteTextFile(const std::string& path, const std::string& contents);
-
-// ---- Roll-up wire form -----------------------------------------------------
-
-// Compact line-oriented serialization for shipping a snapshot through
-// Allgather; lossless (full bucket vectors).
-std::string SerializeSnapshot(const Snapshot& snap);
-bool DeserializeSnapshot(const std::string& data, Snapshot* out);
 
 // ---- Minimal JSON reader ---------------------------------------------------
 
@@ -60,7 +54,7 @@ struct JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0;
-  std::string str;
+  std::string str;  // a string's text, or a number's literal as written
   std::map<std::string, JsonValue> object;
   std::vector<JsonValue> array;
 
@@ -73,8 +67,9 @@ struct JsonValue {
 // Parses a complete JSON document (trailing whitespace allowed).
 bool ParseJson(const std::string& text, JsonValue* out);
 
-// Parses a stats-v1 dump back into a Snapshot (+ meta).  Fails on anything
-// that is not a stats dump.
+// Parses a stats-v1 dump back into a Snapshot (+ meta), exactly: integers
+// are read from their literals.  Fails on anything that is not a stats
+// dump.
 bool ParseStatsJson(const std::string& text, Snapshot* out, StatsMeta* meta);
 
 }  // namespace papyrus::obs

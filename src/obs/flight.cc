@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/timer.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 
 namespace papyrus::obs {
@@ -112,16 +113,7 @@ Status FlightRecorder::TriggerDump(const char* reason) {
 
   MutexLock lock(&dump_mu_);
   ++dumps_;
-  // Plain stdio: like stats/trace files, flight dumps are host-side
-  // diagnostics outside the simulated NVM.
-  FILE* f = fopen(dump_path_.c_str(), "w");
-  if (!f) return Status::IOError("flight: cannot open " + dump_path_);
-  const size_t n = fwrite(out.data(), 1, out.size(), f);
-  fclose(f);
-  if (n != out.size()) {
-    return Status::IOError("flight: short write " + dump_path_);
-  }
-  return Status::OK();
+  return WriteTextFile(dump_path_, out);
 }
 
 FlightRecorder* CurrentFlight() { return tls_flight; }

@@ -1,6 +1,7 @@
-// Flight recorder: a per-rank lock-free ring of recent annotated events,
-// dumped automatically when a fault path fires so every timeout, quarantine
-// or simulated crash ships its own diagnosis.
+// Flight recorder: a per-rank lock-free ring of recent annotated events
+// (the only lock-free ring in obs/), dumped automatically when a fault path
+// fires so every timeout, quarantine or simulated crash ships its own
+// diagnosis.
 //
 // Unlike the trace buffer (which needs PAPYRUSKV_OBS and records full
 // spans), the flight recorder is always recording: each Record() is one
@@ -17,7 +18,8 @@
 // `a`/`b` are per-kind integers (typically peer rank and opcode/attempt);
 // `trace` links the event to the distributed trace when one was active.
 // The dump destination is flight.rank<k>.json in the PAPYRUSKV_OBS
-// directory; with the switch unset TriggerDump is a no-op.
+// directory, written through obs::WriteTextFile like the stats and trace
+// dumps; with the switch unset TriggerDump is a no-op.
 #pragma once
 
 #include <atomic>

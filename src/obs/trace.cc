@@ -5,6 +5,8 @@
 #include <functional>
 #include <thread>
 
+#include "obs/export.h"
+
 namespace papyrus::obs {
 
 namespace {
@@ -37,10 +39,10 @@ void TraceBuffer::SetThreadName(const char* name) {
   thread_names_[tid] = name;
 }
 
-void TraceBuffer::Add(std::string name, const char* cat, uint64_t ts_us,
+void TraceBuffer::Add(const char* name, const char* cat, uint64_t ts_us,
                       uint64_t dur_us) {
   TraceEvent ev;
-  ev.name = std::move(name);
+  ev.name = name;
   ev.cat = cat;
   ev.ts_us = ts_us;
   ev.dur_us = dur_us;
@@ -135,7 +137,7 @@ Status TraceBuffer::WriteChromeTrace(const std::string& path,
     snprintf(buf, sizeof(buf),
              "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
              "\"ts\": %llu, \"dur\": %llu, \"pid\": %d, \"tid\": %llu",
-             ev.name.c_str(), ev.cat,
+             ev.name, ev.cat,
              static_cast<unsigned long long>(ev.ts_us),
              static_cast<unsigned long long>(ev.dur_us), rank,
              static_cast<unsigned long long>(ev.tid));
@@ -177,14 +179,7 @@ Status TraceBuffer::WriteChromeTrace(const std::string& path,
   emit(buf);
 
   out += "\n]}\n";
-  // Plain stdio on purpose: trace files are host-side diagnostics, not part
-  // of the simulated NVM (and obs must stay below sim in the layering).
-  FILE* f = fopen(path.c_str(), "w");
-  if (!f) return Status::IOError("trace: cannot open " + path);
-  const size_t n = fwrite(out.data(), 1, out.size(), f);
-  fclose(f);
-  if (n != out.size()) return Status::IOError("trace: short write " + path);
-  return Status::OK();
+  return WriteTextFile(path, out);
 }
 
 TraceBuffer* CurrentTrace() { return tls_trace; }
@@ -196,16 +191,16 @@ TraceContext CurrentTraceContext() { return tls_ctx; }
 // OpSpan
 // ---------------------------------------------------------------------------
 
-OpSpan::OpSpan(const char* cat, std::string name, Mode mode) {
-  Begin(cat, std::move(name), TraceContext(), /*has_remote=*/false, mode);
+OpSpan::OpSpan(const char* cat, const char* name, Mode mode) {
+  Begin(cat, name, TraceContext(), /*has_remote=*/false, mode);
 }
 
-OpSpan::OpSpan(const char* cat, std::string name,
+OpSpan::OpSpan(const char* cat, const char* name,
                const TraceContext& remote_parent) {
-  Begin(cat, std::move(name), remote_parent, /*has_remote=*/true, kScoped);
+  Begin(cat, name, remote_parent, /*has_remote=*/true, kScoped);
 }
 
-void OpSpan::Begin(const char* cat, std::string&& name,
+void OpSpan::Begin(const char* cat, const char* name,
                    const TraceContext& remote_parent, bool has_remote,
                    Mode mode) {
   TraceBuffer* buf = tls_trace;
@@ -220,7 +215,7 @@ void OpSpan::Begin(const char* cat, std::string&& name,
     if (every > 1 && ++tls_kv_ticks % every != 0) return;
   }
   buf_ = buf;
-  name_ = std::move(name);
+  name_ = name;
   cat_ = cat;
   scoped_ = mode == kScoped;
   saved_ = tls_ctx;
@@ -249,7 +244,7 @@ OpSpan::~OpSpan() {
   if (!buf_) return;
   if (scoped_) tls_ctx = saved_;
   TraceEvent ev;
-  ev.name = std::move(name_);
+  ev.name = name_;
   ev.cat = cat_;
   ev.ts_us = start_;
   ev.dur_us = NowMicros() - start_;
@@ -261,11 +256,11 @@ OpSpan::~OpSpan() {
   buf_->AddEvent(std::move(ev));
 }
 
-void RecordSpan(const char* cat, std::string name, uint64_t ts_us,
+void RecordSpan(const char* cat, const char* name, uint64_t ts_us,
                 uint64_t dur_us) {
   TraceBuffer* buf = tls_trace;
   if (!buf || !buf->enabled()) return;
-  buf->Add(std::move(name), cat, ts_us, dur_us);
+  buf->Add(name, cat, ts_us, dur_us);
 }
 
 }  // namespace papyrus::obs

@@ -5,9 +5,9 @@
 // events — flush, migration, compaction, checkpoint/restart, plus (when an
 // operation context is active) per-operation request spans — cheap enough
 // to leave compiled in and gated at runtime by PAPYRUSKV_OBS=<dir>.  When
-// the ring wraps, the oldest events are overwritten and counted as dropped;
-// tracing never blocks or allocates on the recording path beyond the
-// event's name.
+// the ring wraps, the oldest events are overwritten and counted as dropped.
+// Span names and categories are static strings, stored by pointer, so
+// recording never allocates.
 //
 // Causal tracing: every public put/get/delete allocates a TraceContext
 // (64-bit trace id + the id of the span currently on top of the calling
@@ -48,8 +48,8 @@ struct TraceContext {
 TraceContext CurrentTraceContext();
 
 struct TraceEvent {
-  std::string name;
-  const char* cat = "";  // static string (category: store, net, kv)
+  const char* name = "";  // static string (span name: put, flush, ...)
+  const char* cat = "";   // static string (category: store, net, kv)
   uint64_t ts_us = 0;    // span start, microseconds (absolute NowMicros)
   uint64_t dur_us = 0;
   uint64_t tid = 0;
@@ -109,7 +109,7 @@ class TraceBuffer {
   // event when full.  Only src/obs/ may call this directly (analyzer rule
   // trace-add): everything else goes through TraceSpan / OpSpan so spans
   // carry contexts consistently.
-  void Add(std::string name, const char* cat, uint64_t ts_us,
+  void Add(const char* name, const char* cat, uint64_t ts_us,
            uint64_t dur_us);
   // Full-fidelity variant used by OpSpan (tid is filled in here).
   void AddEvent(TraceEvent ev);
@@ -154,26 +154,22 @@ void SetCurrentTrace(TraceBuffer* t);
 // operation's causal chain.
 class TraceSpan {
  public:
-  TraceSpan(TraceBuffer* buf, const char* cat, std::string name)
-      : buf_(buf && buf->enabled() ? buf : nullptr) {
-    if (buf_) {
-      name_ = std::move(name);
-      cat_ = cat;
-      start_ = NowMicros();
-    }
+  TraceSpan(TraceBuffer* buf, const char* cat, const char* name)
+      : buf_(buf && buf->enabled() ? buf : nullptr), name_(name), cat_(cat) {
+    if (buf_) start_ = NowMicros();
   }
-  TraceSpan(const char* cat, std::string name)
-      : TraceSpan(CurrentTrace(), cat, std::move(name)) {}
+  TraceSpan(const char* cat, const char* name)
+      : TraceSpan(CurrentTrace(), cat, name) {}
   ~TraceSpan() {
-    if (buf_) buf_->Add(std::move(name_), cat_, start_, NowMicros() - start_);
+    if (buf_) buf_->Add(name_, cat_, start_, NowMicros() - start_);
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
   TraceBuffer* buf_;
-  std::string name_;
-  const char* cat_ = "";
+  const char* name_;
+  const char* cat_;
   uint64_t start_ = 0;
 };
 
@@ -198,8 +194,8 @@ class OpSpan {
   // (e.g. the dispatcher's in-flight chunks) that end out of order.
   enum Mode { kScoped, kDetached };
 
-  OpSpan(const char* cat, std::string name, Mode mode = kScoped);
-  OpSpan(const char* cat, std::string name, const TraceContext& remote_parent);
+  OpSpan(const char* cat, const char* name, Mode mode = kScoped);
+  OpSpan(const char* cat, const char* name, const TraceContext& remote_parent);
   ~OpSpan();
   OpSpan(const OpSpan&) = delete;
   OpSpan& operator=(const OpSpan&) = delete;
@@ -217,11 +213,11 @@ class OpSpan {
   bool active() const { return buf_ != nullptr; }
 
  private:
-  void Begin(const char* cat, std::string&& name,
+  void Begin(const char* cat, const char* name,
              const TraceContext& remote_parent, bool has_remote, Mode mode);
 
   TraceBuffer* buf_ = nullptr;
-  std::string name_;
+  const char* name_ = "";
   const char* cat_ = "";
   uint64_t start_ = 0;
   TraceContext ctx_;        // this span's identity while open
@@ -235,7 +231,7 @@ class OpSpan {
 // Records an already-measured interval as a child of the calling thread's
 // current context (e.g. a queue-wait computed from a message's delivery
 // timestamp after the fact).  No-op without an enabled buffer.
-void RecordSpan(const char* cat, std::string name, uint64_t ts_us,
+void RecordSpan(const char* cat, const char* name, uint64_t ts_us,
                 uint64_t dur_us);
 
 }  // namespace papyrus::obs

@@ -208,8 +208,8 @@ class Replicator {
   obs::Counter* c_degraded_ = nullptr;
   obs::Counter* c_shadow_applies_ = nullptr;
   obs::Gauge* g_lag_ = nullptr;
-  // 0/1 level mirror of degraded_, so the timeline sampler (obs/timeline.h)
-  // can window the degraded interval without taking mu_.
+  // 0/1 level mirror of degraded_, so stats dumps show whether the stream
+  // is degraded right now (repl.degraded counts transitions).
   obs::Gauge* g_degraded_now_ = nullptr;
 };
 

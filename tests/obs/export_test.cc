@@ -1,8 +1,10 @@
-// Round-trip tests for the export formats: the stats-v1 JSON dump, the
-// compact Allgather wire form, and the Chrome trace_event output.
+// Round-trip tests for the export formats: the stats-v1 JSON dump (also
+// the form the cross-rank roll-up ships) and the Chrome trace_event output.
 #include <gtest/gtest.h>
 
 #include "../util/temp_dir.h"
+#include "core/runtime.h"
+#include "net/runtime.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "sim/storage.h"
@@ -10,41 +12,78 @@
 namespace papyrus::obs {
 namespace {
 
+// Fills `h` as if `values` had been recorded into a Histogram.
+void Record(HistogramData* h, std::initializer_list<uint64_t> values) {
+  for (uint64_t v : values) {
+    h->min = h->count == 0 ? v : std::min(h->min, v);
+    h->max = std::max(h->max, v);
+    h->buckets[HistogramBucketOf(v)] += 1;
+    h->count += 1;
+    h->sum += v;
+  }
+}
+
 Snapshot MakeSample() {
   Snapshot s;
   s.counters["kv.puts_local"] = 123;
   s.counters["sim.net.bytes"] = 0;
   s.gauges["net.flush_queue_depth"] = -2;
-  HistogramData& h = s.histograms["kv.put_us"];
-  for (uint64_t v : {0u, 1u, 3u, 100u, 100u, 5000u}) {
-    h.buckets[HistogramBucketOf(v)] += 1;
-    h.count += 1;
-    h.sum += v;
-    h.max = std::max(h.max, v);
-  }
-  h.min = 0;
+  Record(&s.histograms["kv.put_us"], {0, 1, 3, 100, 100, 5000});
   return s;
 }
 
-TEST(WireFormatTest, SerializeDeserializeRoundTrip) {
-  const Snapshot in = MakeSample();
-  Snapshot out;
-  ASSERT_TRUE(DeserializeSnapshot(SerializeSnapshot(in), &out));
-  EXPECT_EQ(out.counters, in.counters);
-  EXPECT_EQ(out.gauges, in.gauges);
-  ASSERT_EQ(out.histograms.size(), 1u);
-  const HistogramData& a = in.histograms.at("kv.put_us");
-  const HistogramData& b = out.histograms.at("kv.put_us");
-  EXPECT_EQ(b.count, a.count);
-  EXPECT_EQ(b.sum, a.sum);
-  EXPECT_EQ(b.min, a.min);
-  EXPECT_EQ(b.max, a.max);
-  EXPECT_EQ(b.buckets, a.buckets);
-}
+// The cross-rank roll-up ships each rank's stats-v1 dump and merges the
+// parsed copies; the aggregate must equal Snapshot::Merge of the live
+// snapshots exactly, including values a double cannot hold.
+TEST(StatsRollUpTest, JsonMergeMatchesSnapshotMerge) {
+  constexpr uint64_t kTop = (uint64_t{1} << 63) + 12345;  // top bucket
+  std::vector<Snapshot> parts(3);
+  parts[0].counters["kv.puts_local"] = 7;
+  parts[0].counters["sim.net.bytes"] = (uint64_t{1} << 60) + 3;
+  parts[0].gauges["net.flush_queue_depth"] = -2;
+  Record(&parts[0].histograms["kv.put_us"], {0, 3, 100, kTop});
+  parts[0].histograms["kv.get_us"];  // empty on every rank
+  parts[1].counters["kv.puts_local"] = 5;
+  parts[1].gauges["net.flush_queue_depth"] = -9;
+  parts[1].gauges["repl.lag_ops"] = 4;
+  Record(&parts[1].histograms["kv.put_us"], {1, 5000});
+  parts[1].histograms["kv.get_us"];
+  Record(&parts[2].histograms["store.flush_us"], {42});
 
-TEST(WireFormatTest, RejectsGarbage) {
-  Snapshot out;
-  EXPECT_FALSE(DeserializeSnapshot("not a snapshot\n", &out));
+  Snapshot want;
+  for (const Snapshot& p : parts) want.Merge(p);
+
+  net::RunRanks(3, [&](net::RankContext& ctx) {
+    StatsMeta meta;
+    meta.rank = ctx.rank;
+    meta.nranks = 3;
+    const std::string agg =
+        core::RollUpStats(ctx.comm, SnapshotToJson(parts[ctx.rank], meta));
+    if (ctx.rank != 0) {
+      EXPECT_EQ(agg, "");
+      return;
+    }
+    Snapshot got;
+    ASSERT_TRUE(ParseStatsJson(agg, &got, &meta));
+    EXPECT_TRUE(meta.aggregated);
+    EXPECT_EQ(meta.nranks, 3);
+    EXPECT_EQ(got.counters, want.counters);
+    EXPECT_EQ(got.gauges, want.gauges);
+    EXPECT_EQ(got.gauges.at("net.flush_queue_depth"), -11);
+    ASSERT_EQ(got.histograms.size(), want.histograms.size());
+    for (const auto& [name, w] : want.histograms) {
+      const HistogramData& g = got.histograms.at(name);
+      EXPECT_EQ(g.count, w.count) << name;
+      EXPECT_EQ(g.sum, w.sum) << name;
+      EXPECT_EQ(g.min, w.min) << name;
+      EXPECT_EQ(g.max, w.max) << name;
+      EXPECT_EQ(g.buckets, w.buckets) << name;
+    }
+    EXPECT_EQ(got.histograms.at("kv.put_us").max, kTop);
+    EXPECT_EQ(got.histograms.at("kv.put_us").buckets[kHistogramBuckets - 1],
+              1u);
+    EXPECT_EQ(got.histograms.at("kv.get_us").count, 0u);
+  });
 }
 
 TEST(JsonDumpTest, StatsRoundTrip) {
@@ -140,18 +179,17 @@ TEST(TraceBufferTest, DisabledRecordsNothing) {
 }
 
 TEST(TraceBufferTest, RingOverwritesOldest) {
+  static const char* const kNames[] = {"ev0", "ev1", "ev2", "ev3", "ev4"};
   TraceBuffer buf(3);
   buf.set_enabled(true);
-  for (int i = 0; i < 5; ++i) {
-    buf.Add("ev" + std::to_string(i), "t", 100 + i, 1);
-  }
+  for (int i = 0; i < 5; ++i) buf.Add(kNames[i], "t", 100 + i, 1);
   EXPECT_EQ(buf.size(), 3u);
   EXPECT_EQ(buf.dropped(), 2u);
   const auto events = buf.Events();
   ASSERT_EQ(events.size(), 3u);
   // Oldest-first, with the two earliest overwritten.
-  EXPECT_EQ(events[0].name, "ev2");
-  EXPECT_EQ(events[2].name, "ev4");
+  EXPECT_STREQ(events[0].name, "ev2");
+  EXPECT_STREQ(events[2].name, "ev4");
 }
 
 TEST(TraceBufferTest, SpanRecordsWhenEnabled) {
@@ -159,7 +197,7 @@ TEST(TraceBufferTest, SpanRecordsWhenEnabled) {
   buf.set_enabled(true);
   { TraceSpan span(&buf, "kv", "checkpoint"); }
   ASSERT_EQ(buf.size(), 1u);
-  EXPECT_EQ(buf.Events()[0].name, "checkpoint");
+  EXPECT_STREQ(buf.Events()[0].name, "checkpoint");
   EXPECT_STREQ(buf.Events()[0].cat, "kv");
 }
 

@@ -3,7 +3,7 @@
 // operation, network, and device metrics that papyrus_inspect can read
 // back; unset it must write nothing, and a malformed switch must fail
 // papyruskv_init.  The live papyruskv_stats C API must honor its buffer
-// contract.
+// contract, and papyruskv_health must report whole-run rates.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -17,7 +17,6 @@
 #include "core/papyruskv.h"
 #include "net/runtime.h"
 #include "obs/export.h"
-#include "obs/timeline.h"
 #include "sim/device_model.h"
 #include "sim/storage.h"
 
@@ -206,7 +205,7 @@ TEST_F(ObsE2eTest, TraceEnvProducesChromeTrace) {
         EXPECT_TRUE(lane == "app" || lane == "compaction" ||
                     lane == "dispatcher" || lane == "handler" ||
                     lane == "aux" || lane == "async" ||
-                    lane == "async_repl" || lane == "sampler")
+                    lane == "async_repl")
             << lane;
         saw_named_thread = true;
       }
@@ -231,18 +230,69 @@ TEST_F(ObsE2eTest, UnsetObsWritesNothing) {
   EXPECT_EQ(entries, std::vector<std::string>{"repo"});
 }
 
+// PAPYRUSKV_OBS takes a directory alone: a stale "<dir>,<ms>" from the
+// retired sampler interval, or any other ',', fails init and creates
+// nothing.
 TEST_F(ObsE2eTest, MalformedObsIntervalFailsInit) {
   const std::string dir = tmp_.path() + "/obs";
   const std::string repo = tmp_.path() + "/repo";
-  for (const char* suffix : {",abc", ",0", ",-5", ","}) {
-    setenv("PAPYRUSKV_OBS", (dir + suffix).c_str(), 1);
+  for (const std::string& spec : {dir + ",50", dir + ",", std::string(",")}) {
+    setenv("PAPYRUSKV_OBS", spec.c_str(), 1);
     net::RunRanks(2, [&](net::RankContext&) {
       EXPECT_EQ(papyruskv_init(nullptr, nullptr, repo.c_str()),
                 PAPYRUSKV_INVALID_ARG)
-          << suffix;
+          << spec;
     });
+    EXPECT_FALSE(sim::Storage::FileExists(spec)) << spec;
   }
-  EXPECT_FALSE(sim::Storage::FileExists(dir));
+  std::vector<std::string> entries;
+  ASSERT_TRUE(sim::Storage::ListDir(tmp_.path(), &entries).ok());
+  EXPECT_TRUE(entries.empty());
+}
+
+TEST_F(ObsE2eTest, HealthSnapshotLive) {
+  const std::string repo = tmp_.path() + "/repo";
+  net::RunRanks(2, [&](net::RankContext& ctx) {
+    ASSERT_EQ(papyruskv_init(nullptr, nullptr, repo.c_str()),
+              PAPYRUSKV_SUCCESS);
+    // Sequential puts: the remote half pays a round trip each, so the
+    // whole-run put p99 is a real latency, never a 0us bucket.
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("hdb", PAPYRUSKV_CREATE | PAPYRUSKV_RDWR, &opt,
+                             &db),
+              PAPYRUSKV_SUCCESS);
+    const std::string value(32, 'v');
+    for (int i = 0; i < 200; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      ASSERT_EQ(papyruskv_put(db, key.data(), key.size(), value.data(),
+                              value.size()),
+                PAPYRUSKV_SUCCESS);
+    }
+    ASSERT_EQ(papyruskv_health(nullptr), PAPYRUSKV_INVALID_ARG);
+    papyruskv_health_t h;
+    ASSERT_EQ(papyruskv_health(&h), PAPYRUSKV_SUCCESS);
+    EXPECT_EQ(h.rank, ctx.rank);
+    EXPECT_EQ(h.nranks, 2);
+    EXPECT_EQ(h.crashed, 0);
+    EXPECT_EQ(h.degraded, 0);
+    EXPECT_EQ(h.suspect_peers, 0);
+    EXPECT_GE(h.pipeline_queue_depth, 0);
+    EXPECT_GE(h.repl_lag_ops, 0);
+    EXPECT_GT(h.uptime_us, 0u);
+    // Whole-run rates over this rank's own 200 puts.
+    EXPECT_GT(h.put_rate, 0.0);
+    EXPECT_GT(h.put_p99_us, 0.0);
+    EXPECT_EQ(h.get_rate, 0.0);
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+    ASSERT_EQ(papyruskv_finalize(), PAPYRUSKV_SUCCESS);
+  });
+
+  // Outside any runtime the health call reports the store closed.
+  papyruskv_health_t h;
+  EXPECT_EQ(papyruskv_health(&h), PAPYRUSKV_CLOSED);
 }
 
 TEST_F(ObsE2eTest, StatsApiBufferContract) {
@@ -305,9 +355,9 @@ TEST_F(ObsE2eTest, StatsApiBufferContract) {
   EXPECT_EQ(papyruskv_stats_reset(), PAPYRUSKV_CLOSED);
 }
 
-// The whole observe -> inspect path: one switch, four artifact families
-// per rank, a fault-path flight dump, and the inspector reading it all
-// back from the one directory.
+// The whole observe -> inspect path: one switch, three artifact families
+// per rank (stats, trace, flight), a fault-path flight dump, and the
+// inspector reading it all back from the one directory.
 class ObsDirE2eTest : public testutil::FaultTest {
  protected:
   void TearDown() override {
@@ -318,7 +368,7 @@ class ObsDirE2eTest : public testutil::FaultTest {
 
 TEST_F(ObsDirE2eTest, OneSwitchWritesEveryFamilyAndInspectorReadsThem) {
   const std::string dir = tmp_.path() + "/obs";
-  setenv("PAPYRUSKV_OBS", (dir + ",5").c_str(), 1);
+  setenv("PAPYRUSKV_OBS", dir.c_str(), 1);
   setenv("PAPYRUSKV_TIMEOUT_MS", "50", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "2", 1);
 
@@ -360,13 +410,6 @@ TEST_F(ObsDirE2eTest, OneSwitchWritesEveryFamilyAndInspectorReadsThem) {
     EXPECT_TRUE(obs::ParseStatsJson(text, &snap, &meta));
     EXPECT_EQ(meta.rank, r);
 
-    ASSERT_TRUE(
-        sim::Storage::ReadFileToString(dir + "/timeline" + k, &text).ok());
-    obs::TimelineDoc doc;
-    ASSERT_TRUE(obs::ParseTimelineJson(text, &doc));
-    EXPECT_EQ(doc.interval_us, 5000u);
-    EXPECT_FALSE(doc.samples.empty());
-
     obs::JsonValue v;
     ReadJson(dir + "/trace" + k, &v);
     ASSERT_NE(v.Find("traceEvents"), nullptr);
@@ -383,15 +426,16 @@ TEST_F(ObsDirE2eTest, OneSwitchWritesEveryFamilyAndInspectorReadsThem) {
   EXPECT_TRUE(meta.aggregated);
   EXPECT_GT(agg.counters.at("net.req.timeouts"), 0u);
 
+  // Exactly those families: the switch writes no time-series file.
+  std::vector<std::string> entries;
+  ASSERT_TRUE(sim::Storage::ListDir(dir, &entries).ok());
+  for (const std::string& name : entries) {
+    EXPECT_NE(name.rfind("timeline", 0), 0u) << name;
+  }
+
   EXPECT_EQ(Inspect("--stats " + dir + "/stats.json"), 0);
   EXPECT_EQ(Inspect("--trace-merge " + dir), 0);
   EXPECT_TRUE(sim::Storage::FileExists(dir + "/trace.merged.json"));
-  EXPECT_EQ(Inspect("--timeline " + dir), 0);
-  ASSERT_TRUE(
-      sim::Storage::ReadFileToString(dir + "/timeline.merged.json", &text)
-          .ok());
-  // The flight overlay reached the merged timeline.
-  EXPECT_NE(text.find("\"timeout\""), std::string::npos);
 }
 
 }  // namespace

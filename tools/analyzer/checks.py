@@ -30,12 +30,6 @@ Rules:
                      any Barrier, Drain, Wait, ...) may be reachable from
                      AsyncPipeline::ProcessCycle — the pipeline thread
                      must never block on collectives or its own fence.
-                     The same walk also covers the timeline sampler tick
-                     (TimelineSampler::SampleOnce) with a stricter ban:
-                     no lock acquisition at all — no raw Lock/ReaderLock,
-                     no RAII lock guards, and no registry lookups
-                     (GetCounter/GetGauge/GetHistogram take the registry
-                     mutex; resolve pointers at Configure time instead).
   wire-version       A diff that edits the body of a versioned wire-frame
                      codec (one naming the version byte or writing/reading
                      the frame header) must also touch the version byte or
@@ -61,23 +55,6 @@ BLOCKING_CALLS = frozenset({
     "SignalWait", "WaitEvent", "WaitAsyncOp", "Wait",
     "WaitMigrationsDrained", "WaitFlushesDrained",
     "Drain", "Fence",
-})
-
-# Roots of the sampler-tick reachability walk.  The timeline sampler's
-# tick runs at a fixed cadence on a thread the store never waits for, so
-# it must stay lock-free end to end: everything in BLOCKING_CALLS is
-# banned, and so is anything that merely *takes a lock* — a tick stalled
-# behind a writer skews every window after it.
-SAMPLER_ROOTS = ("SampleOnce",)
-
-# Lock-taking calls banned on the sampling path (in addition to
-# BLOCKING_CALLS): raw mutex acquisition, the registry-wide snapshot, and
-# the registry lookups (GetCounter/GetGauge/GetHistogram take the registry
-# mutex — sampler code must resolve metric pointers once at Configure time
-# and read the cached atomics from the tick).
-LOCKING_CALLS = frozenset({
-    "Lock", "ReaderLock", "TakeSnapshot",
-    "GetCounter", "GetGauge", "GetHistogram",
 })
 
 # Files whose change "proves version awareness" for wire-version, plus the
@@ -446,62 +423,34 @@ def _resolve_edges(model, fn, name, kind, recv):
 
 
 def check_pipeline_blocking(model, roots=PIPELINE_ROOTS,
-                            blocking=BLOCKING_CALLS,
-                            sampler_roots=SAMPLER_ROOTS,
-                            locking=LOCKING_CALLS):
+                            blocking=BLOCKING_CALLS):
     out = []
-    # Two walks under one rule: the pipeline thread must never *block*;
-    # the sampler tick additionally must never *take a lock* (a tick
-    # stalled behind a writer skews every window after it), so its walk
-    # also bans LOCKING_CALLS and flags RAII lock guards in any reached
-    # body.
-    walks = [(roots, blocking, "pipeline thread", False),
-             (sampler_roots, blocking | locking, "sampler tick", True)]
-    for walk_roots, banned, who, scan_raii in walks:
-        root_fns = [fn for fn in model.functions if fn.name in walk_roots]
-        for root in root_fns:
-            seen = set()
-            # stack entries: (fn, chain) where chain is the qualname path
-            stack = [(root, (root.qualname,))]
-            while stack:
-                fn, chain = stack.pop()
-                if fn.qualname in seen:
-                    continue
-                seen.add(fn.qualname)
-                fm = model.files[fn.relpath]
-                if scan_raii:
-                    for lineno, text in fn.body:
-                        m = _RAII_LOCK_RE.search(text)
-                        if m is None:
-                            continue
-                        if fm.escape(lineno, "pipeline-blocking"):
-                            continue
-                        out.append(Violation(
-                            "pipeline-blocking", fn.relpath, lineno,
-                            "%s->raii:%s" % (root.qualname, m.group(1)),
-                            "RAII lock on '%s' in %s (via %s) — the %s "
-                            "must stay lock-free; resolve shared state "
-                            "into atomics or pointers before the tick" %
-                            (m.group(1), fn.qualname, " -> ".join(chain),
-                             who)))
-                for lineno, callee, kind, recv in fn.calls_ex():
-                    if callee in banned:
-                        if fm.escape(lineno, "pipeline-blocking"):
-                            continue
-                        out.append(Violation(
-                            "pipeline-blocking", fn.relpath, lineno,
-                            "%s->%s" % (root.qualname, callee),
-                            "blocking call '%s' reachable from %s via %s — "
-                            "the %s must never block on receives, barriers, "
-                            "fences, completion waits, or lock acquisition" %
-                            (callee, root.qualname, " -> ".join(
-                                chain + (callee,)), who)))
+    for root in [fn for fn in model.functions if fn.name in roots]:
+        seen = set()
+        # stack entries: (fn, chain) where chain is the qualname path
+        stack = [(root, (root.qualname,))]
+        while stack:
+            fn, chain = stack.pop()
+            if fn.qualname in seen:
+                continue
+            seen.add(fn.qualname)
+            fm = model.files[fn.relpath]
+            for lineno, callee, kind, recv in fn.calls_ex():
+                if callee in blocking:
+                    if fm.escape(lineno, "pipeline-blocking"):
                         continue
-                    for target in _resolve_edges(model, fn, callee, kind,
-                                                 recv):
-                        if target.qualname not in seen:
-                            stack.append(
-                                (target, chain + (target.qualname,)))
+                    out.append(Violation(
+                        "pipeline-blocking", fn.relpath, lineno,
+                        "%s->%s" % (root.qualname, callee),
+                        "blocking call '%s' reachable from %s via %s — "
+                        "the pipeline thread must never block on receives, "
+                        "barriers, fences, or completion waits" %
+                        (callee, root.qualname,
+                         " -> ".join(chain + (callee,)))))
+                    continue
+                for target in _resolve_edges(model, fn, callee, kind, recv):
+                    if target.qualname not in seen:
+                        stack.append((target, chain + (target.qualname,)))
     return out
 
 

@@ -211,7 +211,6 @@ BAD_CASES = [
     ("bad_codec_records.cc", None, None, {"codec-symmetry"}),
     ("bad_pipeline_block.cc", None, None,
      {"pipeline-blocking", "proto-deadlock"}),
-    ("bad_sampler_lock.cc", None, None, {"pipeline-blocking"}),
     ("wire_fixture.cc", "bad_wire_version.diff", None, {"wire-version"}),
     ("bad_proto_orphan.cc", None, None, {"proto-handler"}),
     ("bad_proto_resp_tag.cc", None, None, {"proto-resp-tag"}),
@@ -230,7 +229,6 @@ GOOD_CASES = [
     ("good_escapes.h", None, None),
     ("good_codec.cc", None, None),
     ("good_pipeline.cc", None, None),
-    ("good_sampler.cc", None, None),
     ("wire_fixture.cc", "good_wire_version.diff", None),
     ("good_proto.cc", None, None),
     ("src/core/good_direct_send.cc", None, None),

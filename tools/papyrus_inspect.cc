@@ -5,7 +5,6 @@
 //   papyrus_inspect <rank dir> --verify      # CRC-check every record
 //   papyrus_inspect --stats <stats.json>     # render one stats dump
 //   papyrus_inspect --trace-merge <obs dir>  # merge per-rank traces
-//   papyrus_inspect --timeline <obs dir>     # merge per-rank time series
 //
 // Works on any directory produced by the library (a repository's
 // <group>/<db>/rank<k>, or a checkpoint's rank<k> snapshot directory) —
@@ -16,8 +15,7 @@
 // Perfetto-loadable <dir>/trace.merged.json (all ranks share one steady
 // clock, so events concatenate without rebasing), and prints a per-op
 // critical-path table built from the trace/span/parent ids each span
-// carries.  --timeline merges every timeline.rank<k>.json, with the
-// flight.rank<k>.json events overlaid, into <dir>/timeline.merged.json.
+// carries.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "obs/export.h"
-#include "obs/timeline.h"
 #include "sim/storage.h"
 #include "store/format.h"
 #include "store/manifest.h"
@@ -285,15 +282,9 @@ int TraceMerge(const std::string& dir) {
     merged += inner;
   }
   merged += "\n]}\n";
-  FILE* f = fopen(out_path.c_str(), "w");
-  if (!f) {
-    fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  const size_t n = fwrite(merged.data(), 1, merged.size(), f);
-  fclose(f);
-  if (n != merged.size()) {
-    fprintf(stderr, "short write to %s\n", out_path.c_str());
+  const Status ws = obs::WriteTextFile(out_path, merged);
+  if (!ws.ok()) {
+    fprintf(stderr, "%s\n", ws.ToString().c_str());
     return 1;
   }
 
@@ -377,99 +368,11 @@ int TraceMerge(const std::string& dir) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// --timeline
-// ---------------------------------------------------------------------------
-
-// Flight-recorder kinds worth drawing on a throughput timeline: the state
-// transitions (crash/promote/degraded/quarantine/suspect/resync) and the
-// timeouts that explain a dip — not the per-op begin/end chatter.
-bool OverlayKind(const std::string& kind) {
-  return kind == "crash" || kind == "promote" || kind == "degraded" ||
-         kind == "quarantine" || kind == "suspect" || kind == "timeout" ||
-         kind == "repl_resync";
-}
-
-int TimelineMode(const std::string& dir) {
-  const std::string base = dir + "/timeline.json";
-  const std::string out_path = dir + "/timeline.merged.json";
-  // Collect every per-rank timeline the run produced (rank files are dense
-  // from 0, so the first gap ends the scan).
-  std::vector<obs::TimelineDoc> docs;
-  for (int r = 0;; ++r) {
-    const std::string path = obs::StatsPathForRank(base, r);
-    if (!sim::Storage::FileExists(path)) break;
-    std::string text;
-    Status s = sim::Storage::ReadFileToString(path, &text);
-    if (!s.ok()) {
-      fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
-              s.ToString().c_str());
-      return 1;
-    }
-    obs::TimelineDoc doc;
-    if (!obs::ParseTimelineJson(text, &doc)) {
-      fprintf(stderr, "%s is not a PapyrusKV timeline-v1 dump\n",
-              path.c_str());
-      return 1;
-    }
-    docs.push_back(std::move(doc));
-  }
-  if (docs.empty()) {
-    fprintf(stderr,
-            "no per-rank timelines found (expected %s, ...)\n"
-            "was the run started with PAPYRUSKV_OBS=<dir> set?\n",
-            obs::StatsPathForRank(base, 0).c_str());
-    return 1;
-  }
-
-  // Flight-event overlay from the same directory.  Absence is fine — the
-  // lanes render without annotations.
-  const std::string fbase = dir + "/flight.json";
-  std::vector<obs::TimelineEvent> events;
-  int flight_files = 0;
-  for (int r = 0;; ++r) {
-    const std::string path = obs::StatsPathForRank(fbase, r);
-    if (!sim::Storage::FileExists(path)) break;
-    std::string text;
-    if (!sim::Storage::ReadFileToString(path, &text).ok()) break;
-    std::vector<obs::TimelineEvent> evs;
-    if (obs::ParseFlightEvents(text, &evs)) {
-      ++flight_files;
-      for (obs::TimelineEvent& e : evs) {
-        if (OverlayKind(e.kind)) events.push_back(std::move(e));
-      }
-    }
-  }
-
-  const obs::MergedTimeline merged =
-      obs::MergeTimelines(docs, std::move(events));
-  const std::string json = obs::MergedTimelineToJson(merged);
-  FILE* f = fopen(out_path.c_str(), "w");
-  if (!f) {
-    fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  const size_t n = fwrite(json.data(), 1, json.size(), f);
-  fclose(f);
-  if (n != json.size()) {
-    fprintf(stderr, "short write to %s\n", out_path.c_str());
-    return 1;
-  }
-
-  printf("merged %zu rank timeline(s), %d flight dump(s) -> %s\n",
-         docs.size(), flight_files, out_path.c_str());
-  fputs(obs::RenderTimelineTables(merged).c_str(), stdout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc == 3 && strcmp(argv[1], "--stats") == 0) {
     return ShowStats(argv[2]);
-  }
-  if (argc == 3 && strcmp(argv[1], "--timeline") == 0) {
-    return TimelineMode(argv[2]);
   }
   if (argc == 3 && strcmp(argv[1], "--trace-merge") == 0) {
     return TraceMerge(argv[2]);
@@ -479,12 +382,10 @@ int main(int argc, char** argv) {
             "usage: %s <rank dir> [--ssid=N | --verify]\n"
             "       %s --stats <stats.json>\n"
             "       %s --trace-merge <obs dir>\n"
-            "       %s --timeline <obs dir>\n"
             "  inspects the SSTables of one rank of a PapyrusKV database,\n"
-            "  renders a stats dump, or merges the per-rank traces (or\n"
-            "  time series, with flight-recorder event overlays) that a\n"
+            "  renders a stats dump, or merges the per-rank traces that a\n"
             "  PAPYRUSKV_OBS=<obs dir> run wrote into one file in <obs dir>\n",
-            argv[0], argv[0], argv[0], argv[0]);
+            argv[0], argv[0], argv[0]);
     return 2;
   }
   const std::string dir = argv[1];
