@@ -8,6 +8,8 @@
 // bookkeeping and compare KRPS.
 //
 //   micro_kv [--ranks=N] [--iters=N] [--vallen=N] [--repo=PATH]
+//
+// Defaults: 1 rank, 200000 ops/rank, 100 B values.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,8 +27,10 @@ using namespace papyrus;
 using namespace papyrus::bench;
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
-  const int ranks = flags.ranks > 0 ? flags.ranks : 1;
+  Flags defaults;
+  defaults.ranks = 1;
+  Flags flags = Flags::Parse(argc, argv, defaults);
+  const int ranks = flags.ranks;
   const int iters = flags.iters > 0 ? flags.iters : 200000;
   const size_t vallen = flags.vallen > 0 ? flags.vallen : 100;
   const std::string repo = flags.repo + "/micro_kv";

@@ -17,6 +17,8 @@
 // part of the committed results trajectory.
 //
 //   micro_kv_async [--ranks=N] [--iters=N] [--vallen=N] [--repo=PATH]
+//
+// Defaults: 8 ranks (the Flags default), 2000 puts/rank, 100 B values.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -145,7 +147,6 @@ SeriesResult RunSeries(const Series& s, const Flags& flags, int iters,
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  if (flags.ranks <= 0) flags.ranks = 8;
   const int iters = flags.iters > 0 ? flags.iters : 2000;
   const size_t vallen = flags.vallen > 0 ? flags.vallen : 100;
   const std::string repo = "nvme:" + flags.repo + "/micro_kv_async";

@@ -8,7 +8,10 @@
 #                  findings are archived as build/analyze_findings.json;
 #                  needs no compiler toolchain, so it is never skipped —
 #                  spec drift (PROTOCOL.json vs src/core/wire.h) fails here
-#   2. build+test  default build, full ctest suite
+#   2. build+test  default (RelWithDebInfo) build with -DPAPYRUS_WERROR=ON
+#                  (a new compiler warning fails the stage; pinned because
+#                  GCC 12's -O3 Release build false-positives -Wrestrict on
+#                  std::string concatenation), full ctest suite
 #   3. fault       fault matrix: the whole ctest suite re-run under a
 #                  canned correctness-neutral PAPYRUSKV_FAULTS profile
 #                  (message delay + duplication) — every suite must still
@@ -104,7 +107,8 @@ python3 tools/analyzer/papyrus_analyze.py --diff-base HEAD \
   --json build/analyze_findings.json
 
 stage build-test "[2/7] build + ctest"
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPAPYRUS_WERROR=ON \
+  >/dev/null
 cmake --build build -j "${JOBS}"
 rm -rf "${FLIGHT_DIR}" && mkdir -p "${FLIGHT_DIR}"
 if ! PAPYRUSKV_OBS="${FLIGHT_DIR}/ctest" \

@@ -459,6 +459,44 @@ void AsyncPipeline::CompleteFrame(const Frame& f, size_t n, Status st,
   }
 }
 
+template <typename Settle>
+void AsyncPipeline::RunChains(std::map<int, std::vector<Frame>>* chains,
+                              Settle&& settle) {
+  // Only each chain's *head* frame goes on the wire up front: frames to
+  // distinct destinations overlap, amortizing the round trip, but frame N+1
+  // of a chain is released only by frame N's ack below.  This is what makes
+  // the bounded re-send safe (DESIGN.md §8): the one frame per destination
+  // that can be retried is always the newest one sent there, so a retry
+  // re-applies at worst its own data — never data an earlier frame
+  // committed after it (SDCB survives retries).
+  for (auto& [dst, chain] : *chains) SendFrame(chain.front());
+
+  for (auto& [dst, chain] : *chains) {
+    bool dst_down = false;  // an earlier frame to dst exhausted its retries
+    for (size_t fi = 0; fi < chain.size(); ++fi) {
+      Frame& f = chain[fi];
+      Status s;
+      std::string ack;
+      if (dst_down) {
+        // Never sent: the timed-out frame ahead of this one may still be
+        // sitting unapplied in the peer's mailbox, and sending past it
+        // could commit data out of submission order.
+        f.rpc.reset();
+        s = Status::Timeout("rank " + std::to_string(dst) +
+                            " unresponsive; " + f.name +
+                            " not sent (earlier frame unacked)");
+      } else {
+        s = AwaitFrame(&f, &ack);
+        dst_down = !s.ok();  // the unsent rest of this chain fails above
+        // The ack proves the handler applied this frame; the next frame in
+        // this destination's chain may now go on the wire.
+        if (s.ok() && fi + 1 < chain.size()) SendFrame(chain[fi + 1]);
+      }
+      settle(f, std::move(s), ack);
+    }
+  }
+}
+
 void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
   using Kind = Submission::Kind;
   if (rt_.crashed()) {
@@ -520,71 +558,69 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
     }
   }
 
-  // A failed replication frame fails the follower out of the shard's
-  // quorum accounting (no per-op waiters to complete).
-  auto fail_repl = [&](const Frame& f) {
-    c_op_errors_->Inc();
-    if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
-      if (repl::Replicator* r = db->replicator()) r->OnAppendFailed(f.dst);
+  RunChains(&chains, [&](Frame& f, Status s, const std::string& ack) {
+    if (f.kind != Kind::kRepl) {
+      CompleteFrame(f, f.ops.size(), std::move(s), ack,
+                    [&](size_t i, Status st, core::GetResp resp) {
+                      Finish(f.ops[i], std::move(st), std::move(resp));
+                    });
+      return;
     }
-  };
-
-  // Only each chain's *head* frame goes on the wire up front: frames to
-  // distinct destinations overlap, amortizing the round trip across the
-  // cycle (same idiom as the migration dispatcher), but frame N+1 of a
-  // chain is released only by frame N's ack below.  This is what makes the
-  // bounded re-send safe (DESIGN.md §8): the one frame per destination
-  // that can be retried is always the newest one sent there, so a retry
-  // re-applies at worst its own data — never data an earlier frame
-  // committed after it (SDCB survives retries).
-  for (auto& [dst, chain] : chains) SendFrame(chain.front());
-
-  for (auto& [dst, chain] : chains) {
-    bool dst_down = false;  // an earlier frame to dst exhausted its retries
-    for (size_t fi = 0; fi < chain.size(); ++fi) {
-      Frame& f = chain[fi];
-      Status s;
-      std::string ack;
-      if (dst_down) {
-        // Never sent: the timed-out frame ahead of this one may still be
-        // sitting unapplied in the peer's mailbox, and sending past it
-        // could commit data out of submission order.
-        f.rpc.reset();
-        s = Status::Timeout("rank " + std::to_string(dst) +
-                            " unresponsive; " + f.name +
-                            " not sent (earlier frame unacked)");
-      } else {
-        s = AwaitFrame(&f, &ack);
-        dst_down = !s.ok();  // the unsent rest of this chain fails above
-        // The ack proves the handler applied this frame; the next frame in
-        // this destination's chain may now go on the wire.
-        if (s.ok() && fi + 1 < chain.size()) SendFrame(chain[fi + 1]);
-      }
-      if (f.kind != Kind::kRepl) {
-        CompleteFrame(f, f.ops.size(), std::move(s), ack,
-                      [&](size_t i, Status st, core::GetResp resp) {
-                        Finish(f.ops[i], std::move(st), std::move(resp));
-                      });
-        continue;
-      }
-      uint64_t epoch = 0;
-      uint64_t acked_seq = 0;
-      bool ok = false;
-      if (!s.ok() ||
-          !core::DecodeReplAppendAck(ack, &epoch, &acked_seq, &ok)) {
-        fail_repl(f);
-        continue;
-      }
+    uint64_t epoch = 0;
+    uint64_t acked_seq = 0;
+    bool ok = false;
+    const bool acked =
+        s.ok() && core::DecodeReplAppendAck(ack, &epoch, &acked_seq, &ok);
+    if (!acked) c_op_errors_->Inc();
+    core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid));
+    repl::Replicator* r = db ? db->replicator() : nullptr;
+    if (r == nullptr) return;
+    if (acked) {
       // Hand the follower's (epoch, seq) progress — or its NACK — to the
       // shard's replicator; a NACK triggers an inline resync pump, whose
       // submissions land in the next cycle's queues.
-      if (core::DbShardPtr db = rt_.Find(static_cast<int>(f.dbid))) {
-        if (repl::Replicator* r = db->replicator()) {
-          r->OnAppendAck(f.dst, epoch, acked_seq, ok);
-        }
-      }
+      r->OnAppendAck(f.dst, epoch, acked_seq, ok);
+    } else {
+      // A failed replication frame fails the follower out of the shard's
+      // quorum accounting (no per-op waiters to complete).
+      r->OnAppendFailed(f.dst);
     }
+  });
+}
+
+void AsyncPipeline::Migrate(
+    uint32_t dbid, const std::map<int, std::vector<KvRecord>>& chunks) {
+  // One single-frame chain per owner.  Re-applying a chunk is idempotent
+  // (the handler replays the same records in order), and the dispatcher
+  // holds this migration until every chunk is settled, so no later chunk
+  // from this rank can interleave with a retry.
+  std::map<int, std::vector<Frame>> chains;
+  for (const auto& [owner, records] : chunks) {
+    assert(owner != rt_.rank() &&
+           "remote MemTable must not hold self-owned pairs");
+    Frame f;
+    f.dst = owner;
+    f.kind = Submission::Kind::kPut;
+    f.dbid = dbid;
+    EncodeFrame(&f, records, {});
+    chains[owner].push_back(std::move(f));
   }
+  RunChains(&chains, [&](Frame& f, Status s, const std::string& ack) {
+    const std::vector<KvRecord>& records = chunks.at(f.dst);
+    size_t failed = 0;
+    std::string first;  // the first failed record and its status
+    CompleteFrame(f, records.size(), std::move(s), ack,
+                  [&](size_t i, Status st, core::GetResp) {
+                    if (st.ok()) return;
+                    if (failed++ == 0) {
+                      first = "'" + records[i].key + "': " + st.ToString();
+                    }
+                  });
+    if (failed > 0) {
+      PLOG_ERROR << "migration to rank " << f.dst << ": " << failed << " of "
+                 << records.size() << " records failed, first " << first;
+    }
+  });
 }
 
 }  // namespace papyrus::async

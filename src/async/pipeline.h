@@ -150,6 +150,15 @@ class AsyncPipeline {
                         uint64_t flushed_through, const Slice& key,
                         const Slice& value, bool tombstone);
 
+  // Sends one relaxed-mode migration (§2.4) on the calling dispatcher
+  // thread: one put_batch frame per owner in `chunks`, every frame on the
+  // wire before the first ack is awaited, on the same frame machinery and
+  // retry ladder as the pipeline's own put frames.  Returns once each
+  // frame is acked or given up; failures are logged (the records stay
+  // idempotent to re-apply, and a dead owner must not wedge the fence).
+  void Migrate(uint32_t dbid,
+               const std::map<int, std::vector<core::KvRecord>>& chunks);
+
   // Blocks until every submitted op has completed (fence semantics for
   // async operations; see DbShard::Fence).
   void Drain();
@@ -244,7 +253,15 @@ class AsyncPipeline {
   template <typename Done>
   void RunClaimed(Frame* f, Done&& done);
 
-  // The frame machinery shared by ProcessCycle and the caller path.
+  // Sends every chain's head frame up front, then awaits the chains in
+  // turn under the SDCB rule: frame N+1 of a chain goes on the wire only
+  // once frame N is acked, and a frame that exhausted its retries fails the
+  // unsent rest of its chain.  settle(f, status, ack) receives each frame's
+  // outcome, in chain order.  Used by ProcessCycle and Migrate.
+  template <typename Settle>
+  void RunChains(std::map<int, std::vector<Frame>>* chains, Settle&& settle);
+
+  // The frame machinery shared by RunChains and the caller path.
   // EncodeFrame allocates f's reply tag, opens its RPC span and encodes its
   // payload from `records` (kPut/kRepl) or `gets` (kGet); a kRepl frame
   // takes its stream coordinates from f->ops.

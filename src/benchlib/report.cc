@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -12,8 +13,10 @@
 namespace papyrus::bench {
 
 RankStats GatherStats(const net::Communicator& comm, double mine) {
+  uint64_t mine_bits;
+  memcpy(&mine_bits, &mine, sizeof(mine_bits));
   char buf[8];
-  EncodeFixed64(buf, *reinterpret_cast<const uint64_t*>(&mine));
+  EncodeFixed64(buf, mine_bits);
   std::vector<std::string> all;
   comm.Allgather(Slice(buf, 8), &all);
   RankStats out;

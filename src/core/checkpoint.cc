@@ -171,8 +171,7 @@ Status KvRuntime::Checkpoint(int dbid, const std::string& path,
   std::vector<uint64_t> ssids = db->manifest().LiveSsids();
   const std::string src_dir = db->dir();
 
-  EventPtr ev;
-  const int event_id = events_.Create(&ev);
+  auto ev = std::make_shared<async::OpState>();
   // Latency spans the full operation: barrier start to transfer complete.
   const uint64_t start_us = NowMicros();
   KvRuntime* rt = this;
@@ -194,14 +193,7 @@ Status KvRuntime::Checkpoint(int dbid, const std::string& path,
         .Record(NowMicros() - start_us);
     ev->Complete(ts);
   });
-
-  if (event_out) {
-    *event_out = event_id;
-    return Status::OK();
-  }
-  // No event handle requested: the call degrades to synchronous (§4.2 —
-  // asynchronous "if event is not NULL").
-  return WaitEvent(event_id);
+  return EventOrWait(std::move(ev), event_out);
 }
 
 Status KvRuntime::Restart(const std::string& path, const std::string& name,
@@ -237,8 +229,7 @@ Status KvRuntime::Restart(const std::string& path, const std::string& name,
   if (!s.ok()) return s;
   DbShardPtr db = Find(dbid);
 
-  EventPtr ev;
-  const int event_id = events_.Create(&ev);
+  auto ev = std::make_shared<async::OpState>();
   const int my_rank = rank();
   const int nranks = size();
   KvRuntime* rt = this;
@@ -315,11 +306,7 @@ Status KvRuntime::Restart(const std::string& path, const std::string& name,
   }
 
   *db_out = dbid;
-  if (event_out) {
-    *event_out = event_id;
-    return Status::OK();
-  }
-  return WaitEvent(event_id);
+  return EventOrWait(std::move(ev), event_out);
 }
 
 Status KvRuntime::Destroy(int dbid, int* event_out) {
@@ -337,16 +324,11 @@ Status KvRuntime::Destroy(int dbid, int* event_out) {
   if (!s.ok()) return s;
 
   const std::string rank_dir = db->dir();
-  EventPtr ev;
-  const int event_id = events_.Create(&ev);
+  auto ev = std::make_shared<async::OpState>();
   EnqueueTask([rank_dir, ev] {
     ev->Complete(sim::Storage::RemoveDirRecursive(rank_dir));
   });
-  if (event_out) {
-    *event_out = event_id;
-    return Status::OK();
-  }
-  return WaitEvent(event_id);
+  return EventOrWait(std::move(ev), event_out);
 }
 
 }  // namespace papyrus::core

@@ -138,69 +138,49 @@ int DbShard::OwnerOf(const Slice& key) const {
 // ---------------------------------------------------------------------------
 
 Status DbShard::Put(const Slice& key, const Slice& value) {
-  if (key.empty()) return Status::InvalidArg("empty key");
-  Status alive = rt_.CheckAlive();
-  if (!alive.ok()) return alive;
-  if (protection_.load() == PAPYRUSKV_RDONLY) {
-    return Status::Protected("db is read-only");
-  }
-  obs::ScopedLatency lat(m_.put_us);
-  // Trace root: this put (and everything it triggers, up to the remote
-  // handler on the owner rank) is one causal chain.
-  obs::OpSpan op("kv", "put");
-  const int hash_owner = OwnerOf(key);
-  const int owner = RouteOwner(hash_owner);
-  if (owner == rt_.rank()) {
-    m_.puts_local->Inc();
-    return LocalPut(key, value, /*tombstone=*/false);
-  }
-  if (consistency_.load() == PAPYRUSKV_SEQUENTIAL) {
-    Status s = SyncRemotePut(key, value, false, owner);
-    if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
-        rt_.IsSuspect(hash_owner)) {
-      // The owner died under this put: re-route once through failover
-      // promotion and retry against whichever replica took over.
-      const int routed = RouteOwner(hash_owner);
-      if (routed != hash_owner) {
-        if (routed == rt_.rank()) {
-          m_.puts_local->Inc();
-          return LocalPut(key, value, /*tombstone=*/false);
-        }
-        return SyncRemotePut(key, value, false, routed);
-      }
-    }
-    return s;
-  }
-  return StageRemotePut(key, value, false, owner);
+  return Write(key, value, /*tombstone=*/false);
 }
 
 Status DbShard::Delete(const Slice& key) {
   // §2.5: a delete is a put with a zero-length value and the tombstone set.
+  return Write(key, Slice(), /*tombstone=*/true);
+}
+
+Status DbShard::Write(const Slice& key, const Slice& value, bool tombstone) {
   if (key.empty()) return Status::InvalidArg("empty key");
   Status alive = rt_.CheckAlive();
   if (!alive.ok()) return alive;
   if (protection_.load() == PAPYRUSKV_RDONLY) {
     return Status::Protected("db is read-only");
   }
-  obs::ScopedLatency lat(m_.delete_us);
-  obs::OpSpan op("kv", "delete");
-  m_.deletes->Inc();
+  obs::ScopedLatency lat(tombstone ? m_.delete_us : m_.put_us);
+  // Trace root: this write (and everything it triggers, up to the remote
+  // handler on the owner rank) is one causal chain.
+  obs::OpSpan op("kv", tombstone ? "delete" : "put");
+  if (tombstone) m_.deletes->Inc();
   const int hash_owner = OwnerOf(key);
   const int owner = RouteOwner(hash_owner);
-  if (owner == rt_.rank()) return LocalPut(key, Slice(), true);
-  if (consistency_.load() == PAPYRUSKV_SEQUENTIAL) {
-    Status s = SyncRemotePut(key, Slice(), true, owner);
-    if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
-        rt_.IsSuspect(hash_owner)) {
-      const int routed = RouteOwner(hash_owner);
-      if (routed != hash_owner) {
-        if (routed == rt_.rank()) return LocalPut(key, Slice(), true);
-        return SyncRemotePut(key, Slice(), true, routed);
-      }
-    }
-    return s;
+  if (owner != rt_.rank() && consistency_.load() != PAPYRUSKV_SEQUENTIAL) {
+    return StageRemotePut(key, value, tombstone, owner);
   }
-  return StageRemotePut(key, Slice(), true, owner);
+  return WithFailover(hash_owner, owner, [&](int dst) {
+    if (dst != rt_.rank()) return SyncRemotePut(key, value, tombstone, dst);
+    if (!tombstone) m_.puts_local->Inc();
+    return LocalPut(key, value, tombstone);
+  });
+}
+
+template <typename Op>
+Status DbShard::WithFailover(int hash_owner, int owner, Op&& op) {
+  Status s = op(owner);
+  if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
+      rt_.IsSuspect(hash_owner)) {
+    // The owner died under this op: re-route once through failover
+    // promotion and retry against whichever replica took over.
+    const int routed = RouteOwner(hash_owner);
+    if (routed != hash_owner) return op(routed);
+  }
+  return s;
 }
 
 async::OpHandle DbShard::PutAsync(const Slice& key, const Slice& value,
@@ -421,10 +401,12 @@ Status DbShard::Get(const Slice& key, std::string* value) {
   obs::OpSpan op("kv", "get");
   const int hash_owner = OwnerOf(key);
   const int owner = RouteOwner(hash_owner);
-  if (owner == rt_.rank()) {
+  auto get_from = [&](int dst) {
+    if (dst != rt_.rank()) return RemoteGet(key, value);
     m_.gets_local->Inc();
     return LocalGet(key, value);
-  }
+  };
+  if (owner == rt_.rank()) return get_from(owner);
   m_.gets_remote->Inc();
   if (opt_.read_from_replica && repl_ && owner == hash_owner) {
     // Read scaling: round-robin this get over the owner's replica set; a
@@ -432,21 +414,7 @@ Status DbShard::Get(const Slice& key, std::string* value) {
     Status rs;
     if (TryReplicaRead(key, hash_owner, value, &rs)) return rs;
   }
-  Status s = RemoteGet(key, value);
-  if (s.code() == PAPYRUSKV_ERR_TIMEOUT && repl_ && owner == hash_owner &&
-      rt_.IsSuspect(hash_owner)) {
-    // The owner died under this get: re-route once through failover
-    // promotion and retry against whichever replica took over.
-    const int routed = RouteOwner(hash_owner);
-    if (routed != hash_owner) {
-      if (routed == rt_.rank()) {
-        m_.gets_local->Inc();
-        return LocalGet(key, value);
-      }
-      return RemoteGet(key, value);
-    }
-  }
-  return s;
+  return WithFailover(hash_owner, owner, get_from);
 }
 
 Status DbShard::LocalGet(const Slice& key, std::string* value) {
@@ -1129,7 +1097,7 @@ Status DbShard::Fence() {
       remote_mu_.Unlock();
     }
   }
-  WaitMigrationsDrained();
+  WaitDrained(&pending_migrations_);
   // Replication commit rule (DESIGN.md §12): a fenced put is durable on
   // ⌊k/2⌋+1 replicas before the fence completes.  Remote puts already gated
   // through the owners' deferred batch/migration acks; this waits out the
@@ -1179,7 +1147,7 @@ Status DbShard::Barrier(int level) {
         local_mu_.Unlock();
       }
     }
-    WaitFlushesDrained();
+    WaitDrained(&pending_flushes_);
     s = rt_.CollectiveBarrier();
   }
   return s;
@@ -1216,14 +1184,9 @@ Status DbShard::SetProtection(int prot) {
 
 Status DbShard::FlushAll() { return Barrier(PAPYRUSKV_SSTABLE); }
 
-void DbShard::WaitFlushesDrained() {
+void DbShard::WaitDrained(const int* pending) {
   MutexLock lock(&drain_mu_);
-  while (pending_flushes_ != 0) drain_cv_.Wait(&drain_mu_);
-}
-
-void DbShard::WaitMigrationsDrained() {
-  MutexLock lock(&drain_mu_);
-  while (pending_migrations_ != 0) drain_cv_.Wait(&drain_mu_);
+  while (*pending != 0) drain_cv_.Wait(&drain_mu_);
 }
 
 size_t DbShard::MemTableBytes() const {

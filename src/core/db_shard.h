@@ -158,6 +158,13 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   size_t MemTableBytes() const;
 
  private:
+  // Put and Delete (tombstone=true): the one synchronous write path.
+  Status Write(const Slice& key, const Slice& value, bool tombstone);
+  // Runs op(owner); when that timed out on a suspect hash owner under
+  // replication, re-routes once through failover promotion and runs
+  // op(replacement) instead.  op(dst) serves the call from rank dst.
+  template <typename Op>
+  Status WithFailover(int hash_owner, int owner, Op&& op);
   // The local put path shared by the app thread (local puts) and the
   // handler thread (migrated records).
   Status LocalPut(const Slice& key, const Slice& value, bool tombstone);
@@ -207,8 +214,9 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // fills, §2.7 shared read + fallback re-query through the pipeline).
   Status FinishRemoteGet(const Slice& key, GetResp resp, std::string* value);
 
-  void WaitFlushesDrained();
-  void WaitMigrationsDrained();
+  // Blocks until the drain counter *pending (pending_flushes_ or
+  // pending_migrations_) reaches zero.
+  void WaitDrained(const int* pending);
 
   // ---- Failover routing (DESIGN.md §12) ----
   // Resolves the rank that currently serves `owner`'s hash slot: `owner`

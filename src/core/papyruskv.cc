@@ -183,7 +183,7 @@ int papyruskv_get_async(papyruskv_db_t db, const char* key, size_t keylen,
   op.key.assign(key, keylen);
   op.value = value;
   op.vallen = vallen;
-  op.is_get = true;
+  op.kind = papyrus::core::AsyncOp::Kind::kGet;
   *event = rt->RegisterAsyncOp(std::move(op));
   return PAPYRUSKV_SUCCESS;
 }
@@ -335,11 +335,6 @@ int papyruskv_wait(papyruskv_db_t db, papyruskv_event_t event) {
   (void)db;  // event ids are rank-wide; db kept for API symmetry
   KvRuntime* rt = Rt();
   if (!rt) return PAPYRUSKV_CLOSED;
-  // The event space is partitioned: ids >= kAsyncEventBase are pipeline
-  // ops (put/get/delete_async), below are runtime events (checkpoint &c).
-  if (event >= papyrus::core::kAsyncEventBase) {
-    return Code(rt->WaitAsyncOp(event));
-  }
   return Code(rt->WaitEvent(event));
 }
 

@@ -124,7 +124,8 @@ typedef struct papyruskv_option_struct {
 // accumulates across a long run), returning the first failed op's status;
 // waiting such an event after the fence reports PAPYRUSKV_INVALID_EVENT.
 // Get events are not consumed by a fence — a get's value is delivered only
-// by its papyruskv_wait, which must eventually be called.
+// by its papyruskv_wait, which must eventually be called — and neither are
+// checkpoint/restart/destroy events, which share the same event table.
 //
 // Key and value are copied at submission time; the caller's buffers may be
 // reused as soon as the call returns.
@@ -209,7 +210,11 @@ typedef struct papyruskv_option_struct {
 // Collective.
 [[nodiscard]] int papyruskv_destroy(papyruskv_db_t db, papyruskv_event_t* event);
 
-// Waits for an asynchronous operation to complete.
+// Waits for an asynchronous operation — a *_async op or a checkpoint,
+// restart or destroy — to complete and returns its status.  One event
+// table serves all of them; a wait consumes its event, so waiting an
+// unknown, already-waited or fence-retired event returns
+// PAPYRUSKV_INVALID_EVENT.
 [[nodiscard]] int papyruskv_wait(papyruskv_db_t db, papyruskv_event_t event);
 
 // ---- Extensions (not in Table 1, used by benches/tests) --------------------

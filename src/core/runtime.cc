@@ -1,7 +1,6 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -359,9 +358,9 @@ void KvRuntime::DispatcherLoop() {
     if (!job.db || !job.mem) continue;
 
     obs::ScopedLatency lat(h_migration_us_);
-    // Root span for the whole migration; each chunk gets its own detached
-    // child below (chunks overlap and ack out of order, so they must not
-    // stack on the thread's context).
+    // Root span for the whole migration; each chunk's frame gets its own
+    // detached put_batch.rpc child (chunks overlap and ack out of order, so
+    // they must not stack on the thread's context).
     obs::OpSpan span("net", "migration");
     // §2.4 migration: sort by owner, accumulate per rank, send one chunk
     // per owner, then wait for the acks confirming application.
@@ -372,61 +371,7 @@ void KvRuntime::DispatcherLoop() {
       job.db->MigrationFinished(job.mem);
       continue;
     }
-    struct Pending {
-      int owner;
-      std::string payload;
-      int tag;
-      std::unique_ptr<obs::OpSpan> rpc;  // open until the chunk is acked
-    };
-    std::vector<Pending> pending;
-    pending.reserve(chunks.size());
-    for (auto& [owner, records] : chunks) {
-      assert(owner != ctx_.rank &&
-             "remote MemTable must not hold self-owned pairs");
-      const int tag = AllocRespTag();
-      auto rpc = std::make_unique<obs::OpSpan>("net", "put_batch.rpc",
-                                               obs::OpSpan::kDetached);
-      rpc->MarkFlowOut();
-      Pending p;
-      p.owner = owner;
-      p.payload = EncodePutBatch(job.db->id(), static_cast<uint32_t>(tag),
-                                 records, rpc->context());
-      p.tag = tag;
-      p.rpc = std::move(rpc);
-      pending.push_back(std::move(p));
-    }
-    for (const auto& p : pending) {
-      flight_.Record(obs::FlightKind::kOpBegin, OpName(kOpPutBatch), p.owner,
-                     retry_.max_attempts);
-      SendRequest(p.owner, kOpPutBatch, p.payload);
-    }
-    for (auto& p : pending) {
-      // Re-applying a chunk is idempotent (the handler replays the same
-      // records in order), and the dispatcher holds this migration until
-      // acked, so no later chunk from this rank can interleave with a
-      // retry.  A chunk that is never acked must not wedge the fence: the
-      // ladder marks the peer suspect and the migration moves on.
-      net::Message ack;
-      Status s = AwaitReply(p.owner, kOpPutBatch, p.payload, p.tag, &ack);
-      p.rpc.reset();  // close the chunk's RPC span at ack (or give-up) time
-      std::vector<int32_t> statuses;
-      if (s.ok() && !DecodePutBatchAck(ack.payload, &statuses)) {
-        s = Status::Corrupted("bad put batch ack");
-      }
-      if (!s.ok()) {
-        PLOG_ERROR << "migration to rank " << p.owner << " failed: "
-                   << s.ToString();
-        continue;
-      }
-      const std::vector<KvRecord>& records = chunks[p.owner];
-      for (size_t i = 0; i < statuses.size() && i < records.size(); ++i) {
-        if (statuses[i] != PAPYRUSKV_SUCCESS) {
-          PLOG_ERROR << "migration to rank " << p.owner << ": record '"
-                     << records[i].key << "' failed with code "
-                     << statuses[i];
-        }
-      }
-    }
+    pipeline_.Migrate(job.db->id(), chunks);
     job.db->MigrationFinished(job.mem);
   }
 }
@@ -879,25 +824,30 @@ Status KvRuntime::FreeValue(char* p) {
   return Status::OK();
 }
 
-Status KvRuntime::WaitEvent(int event) { return events_.WaitAndErase(event); }
-
 // ---------------------------------------------------------------------------
-// Async-op handles (papyruskv_*_async / papyruskv_wait)
+// The event table (papyruskv_*_async, checkpoint/restart/destroy;
+// papyruskv_wait)
 // ---------------------------------------------------------------------------
 
 int KvRuntime::RegisterAsyncOp(AsyncOp op) {
   MutexLock lock(&async_mu_);
-  // The id sequence wraps within [kAsyncEventBase, INT_MAX) instead of
-  // overflowing (signed UB) into the EventRegistry's range below
-  // kAsyncEventBase; after a wrap, ids still outstanding are skipped.
+  // The id sequence wraps within [1, INT_MAX) instead of overflowing
+  // (signed UB); after a wrap, ids still outstanding are skipped.
   for (;;) {
     const int id = next_async_id_;
-    next_async_id_ = id >= std::numeric_limits<int>::max() - 1
-                         ? kAsyncEventBase
-                         : id + 1;
+    next_async_id_ = id >= std::numeric_limits<int>::max() - 1 ? 1 : id + 1;
     // try_emplace: `op` is moved only when the id was actually free.
     if (async_ops_.try_emplace(id, std::move(op)).second) return id;
   }
+}
+
+Status KvRuntime::EventOrWait(async::OpHandle ev, int* event_out) {
+  if (!event_out) return ev->Wait();
+  AsyncOp op;
+  op.handle = std::move(ev);
+  op.kind = AsyncOp::Kind::kRuntime;
+  *event_out = RegisterAsyncOp(std::move(op));
+  return Status::OK();
 }
 
 Status KvRuntime::ReapAsyncOps() {
@@ -905,7 +855,8 @@ Status KvRuntime::ReapAsyncOps() {
   {
     MutexLock lock(&async_mu_);
     for (auto it = async_ops_.begin(); it != async_ops_.end();) {
-      if (!it->second.is_get && it->second.handle->done()) {
+      if (it->second.kind == AsyncOp::Kind::kPut &&
+          it->second.handle->done()) {
         reaped.push_back(std::move(it->second));
         it = async_ops_.erase(it);
       } else {
@@ -921,7 +872,7 @@ Status KvRuntime::ReapAsyncOps() {
   return first;
 }
 
-Status KvRuntime::WaitAsyncOp(int id) {
+Status KvRuntime::WaitEvent(int id) {
   AsyncOp op;
   {
     MutexLock lock(&async_mu_);
@@ -930,7 +881,7 @@ Status KvRuntime::WaitAsyncOp(int id) {
     op = std::move(it->second);
     async_ops_.erase(it);
   }
-  if (!op.is_get) return op.handle->Wait();
+  if (op.kind != AsyncOp::Kind::kGet) return op.handle->Wait();
   // Get completion: §2.7 post-processing (cache fills, foreign-SSTable
   // search, fallback re-query) runs here on the waiting thread, then the
   // value lands under the same buffer contract as papyruskv_get.

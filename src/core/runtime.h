@@ -15,8 +15,9 @@
 //   * communicators dup'ed from the application's (§2.4: "the runtime
 //     creates new independent MPI communicators"), so runtime traffic can
 //     never interfere with application messages;
-//   * the database registry, event registry, signal endpoint, and the
-//     value memory pool backing papyruskv_get allocations.
+//   * the database registry, the event table (papyruskv_event_t), the
+//     signal endpoint, and the value memory pool backing papyruskv_get
+//     allocations.
 #pragma once
 
 #include <atomic>
@@ -35,7 +36,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/db_shard.h"
-#include "core/events.h"
 #include "core/layout.h"
 #include "core/options.h"
 #include "core/wire.h"
@@ -136,22 +136,20 @@ struct ObsConfig {
 std::string RollUpStats(const net::Communicator& comm,
                         const std::string& mine_json);
 
-// First handle value for papyruskv_*_async events.  Async-op handles and
-// EventRegistry ids (checkpoint/restart/destroy) share the C API's
-// papyruskv_event_t space; the registry allocates upward from 1 and can
-// never reach this, so papyruskv_wait dispatches on the value alone.
-inline constexpr int kAsyncEventBase = 1 << 30;
-
-// One outstanding papyruskv_*_async operation.  Gets keep the caller's
-// output pointers (which must stay valid until papyruskv_wait) plus the
-// context for §2.7 post-processing at wait time.
+// One outstanding papyruskv_event_t: a papyruskv_*_async op or a runtime
+// event (checkpoint/restart/destroy), each completing through its
+// async::OpState.  Gets keep the caller's output pointers (which must stay
+// valid until papyruskv_wait) plus the context for §2.7 post-processing at
+// wait time.
 struct AsyncOp {
+  // kPut covers put_async and delete_async: the only kind a fence reaps.
+  enum class Kind { kPut, kGet, kRuntime };
   async::OpHandle handle;
+  Kind kind = Kind::kPut;
   DbShardPtr db;         // gets only
   std::string key;       // gets only
   char** value = nullptr;
   size_t* vallen = nullptr;
-  bool is_get = false;
 };
 
 class KvRuntime {
@@ -168,7 +166,6 @@ class KvRuntime {
   int rank() const { return ctx_.rank; }
   int size() const { return ctx_.size(); }
   const StorageLayout& layout() const { return layout_; }
-  EventRegistry& events() { return events_; }
 
   // ---- Observability (src/obs/) ----
   // This rank's metrics registry.  Installed as obs::Current() on the app
@@ -222,18 +219,20 @@ class KvRuntime {
 
   // ---- Async submission/completion pipeline (src/async/) ----
   async::AsyncPipeline& pipeline() { return pipeline_; }
-  // Registers an outstanding papyruskv_*_async op; returns its event handle
-  // (>= kAsyncEventBase).
+  // Registers an outstanding event (async op or runtime event); returns its
+  // papyruskv_event_t handle (>= 1).
   int RegisterAsyncOp(AsyncOp op);
-  // papyruskv_wait for an async-op handle: waits for completion, runs get
-  // post-processing, fills the caller's output buffer, releases the handle.
-  Status WaitAsyncOp(int id);
+  // papyruskv_wait: waits for the event's completion, runs get
+  // post-processing and fills the caller's output buffer (gets), releases
+  // the handle.  PAPYRUSKV_INVALID_EVENT for an unknown or consumed handle.
+  Status WaitEvent(int id);
   // Retires completed put/delete events that were never waited on — the
   // documented bulk-completion pattern (submit N evented ops, then fence)
   // must not leak one async_ops_ entry per op.  Called from DbShard::Fence
   // after the pipeline drain; a retired event is consumed exactly as if it
   // had been waited (a later papyruskv_wait returns PAPYRUSKV_INVALID_EVENT).
-  // Get events stay registered: their value delivery happens at wait time.
+  // Get and runtime events stay registered: a get's value delivery happens
+  // at wait time, and a checkpoint/restart/destroy is not a fenced op.
   // Returns the first failed status among the reaped ops, so the fence
   // surfaces errors that would otherwise vanish with the handles.
   Status ReapAsyncOps();
@@ -293,7 +292,6 @@ class KvRuntime {
   Status Restart(const std::string& path, const std::string& name, int flags,
                  const Options& opt, int* db_out, int* event_out);
   Status Destroy(int db, int* event_out);
-  Status WaitEvent(int event);
 
   // ---- Value pool (papyruskv_get allocations / papyruskv_free) ----
   char* AllocValue(size_t n);
@@ -321,6 +319,11 @@ class KvRuntime {
   // simulated power loss of §4.2's failure model.
   void TriggerCrash();
 
+  // Hands runtime event `ev` to the caller as *event_out, or — with no
+  // event requested — waits for it (§4.2: checkpoint/restart/destroy are
+  // asynchronous "if event is not NULL").
+  Status EventOrWait(async::OpHandle ev, int* event_out);
+
   // With PAPYRUSKV_OBS set, writes every rank's stats, trace and flight
   // files plus the rank-0 aggregate stats.json (RollUpStats) into the obs
   // dir.  Collective when set; reads no environment.
@@ -328,7 +331,6 @@ class KvRuntime {
 
   net::RankContext& ctx_;
   StorageLayout layout_;
-  EventRegistry events_;
 
   net::Communicator req_comm_;      // requests → handler threads
   net::Communicator resp_comm_;     // handler → requester threads
@@ -354,11 +356,11 @@ class KvRuntime {
   Mutex pool_mu_{"rt_pool_mu"};
   std::unordered_set<char*> pool_allocs_ GUARDED_BY(pool_mu_);
 
-  // Outstanding papyruskv_*_async ops, keyed by event handle.  Leaf lock:
-  // released before blocking on any op.
+  // The event table: every outstanding papyruskv_event_t, keyed by handle.
+  // Leaf lock: released before blocking on any op.
   Mutex async_mu_{"rt_async_mu"};
   std::map<int, AsyncOp> async_ops_ GUARDED_BY(async_mu_);
-  int next_async_id_ GUARDED_BY(async_mu_) = kAsyncEventBase;
+  int next_async_id_ GUARDED_BY(async_mu_) = 1;
 
   // Fault/recovery state (DESIGN.md §8).
   fault::RetryPolicy retry_;

@@ -16,6 +16,12 @@ constexpr int kBarrierInTag = 1;
 constexpr int kBarrierOutTag = 2;
 constexpr int kGatherTag = 3;
 constexpr int kBcastTag = 4;
+
+// The NowMicros() deadline timeout_us from now, saturating at kNoDeadline.
+uint64_t DeadlineAfter(uint64_t timeout_us) {
+  const uint64_t now = NowMicros();
+  return timeout_us >= kNoDeadline - now ? kNoDeadline : now + timeout_us;
+}
 }  // namespace
 
 void Mailbox::Deliver(Message msg) {
@@ -28,10 +34,20 @@ void Mailbox::Deliver(Message msg) {
 }
 
 Message Mailbox::Recv(int src, int tag) {
+  Message out;
+  Receive(src, tag, kNoDeadline, &out);
+  return out;
+}
+
+bool Mailbox::RecvFor(int src, int tag, uint64_t timeout_us, Message* out) {
+  return Receive(src, tag, DeadlineAfter(timeout_us), out);
+}
+
+bool Mailbox::Receive(int src, int tag, uint64_t deadline_us, Message* out) {
   MutexLock lock(&mu_);
   for (;;) {
     const uint64_t now = NowMicros();
-    uint64_t next_visible = UINT64_MAX;
+    uint64_t next_visible = kNoDeadline;
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (!Matches(*it, src, tag)) continue;
       if (it->visible_at_us > now) {
@@ -42,52 +58,21 @@ Message Mailbox::Recv(int src, int tag) {
         next_visible = std::min(next_visible, it->visible_at_us);
         continue;
       }
-      Message out = std::move(*it);
-      queue_.erase(it);
-      return out;
-    }
-    if (next_visible != UINT64_MAX) {
-      cv_.WaitForMicros(&mu_, next_visible - now);
-    } else {
-      cv_.Wait(&mu_);
-    }
-  }
-}
-
-bool Mailbox::RecvFor(int src, int tag, uint64_t timeout_us, Message* out) {
-  const uint64_t deadline = NowMicros() + timeout_us;
-  MutexLock lock(&mu_);
-  for (;;) {
-    const uint64_t now = NowMicros();
-    uint64_t next_visible = UINT64_MAX;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (!Matches(*it, src, tag)) continue;
-      if (it->visible_at_us > now) {
-        next_visible = std::min(next_visible, it->visible_at_us);
-        continue;
-      }
       *out = std::move(*it);
       queue_.erase(it);
       return true;
     }
-    if (now >= deadline) return false;
+    if (now >= deadline_us) return false;
     // Wake at whichever comes first: an in-flight match turning visible or
-    // the deadline.  A Deliver also notifies.
-    cv_.WaitForMicros(&mu_, std::min(next_visible, deadline) - now);
-  }
-}
-
-bool Mailbox::TryRecv(int src, int tag, Message* out) {
-  MutexLock lock(&mu_);
-  const uint64_t now = NowMicros();
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (Matches(*it, src, tag) && it->visible_at_us <= now) {
-      *out = std::move(*it);
-      queue_.erase(it);
-      return true;
+    // the deadline.  A Deliver also notifies.  With neither, park: a
+    // WaitForMicros on kNoDeadline would overflow the clock arithmetic.
+    const uint64_t wake = std::min(next_visible, deadline_us);
+    if (wake == kNoDeadline) {
+      cv_.Wait(&mu_);
+    } else {
+      cv_.WaitForMicros(&mu_, wake - now);
     }
   }
-  return false;
 }
 
 World::World(const sim::Topology& topo) : topo_(topo), net_(topo) {}
@@ -144,10 +129,6 @@ Message Communicator::Recv(int src, int tag) const {
   return world_->mailbox(comm_id_, rank_, 0).Recv(src, tag);
 }
 
-bool Communicator::TryRecv(int src, int tag, Message* out) const {
-  return world_->mailbox(comm_id_, rank_, 0).TryRecv(src, tag, out);
-}
-
 bool Communicator::RecvFor(int src, int tag, uint64_t timeout_us,
                            Message* out) const {
   return world_->mailbox(comm_id_, rank_, 0).RecvFor(src, tag, timeout_us,
@@ -162,13 +143,9 @@ void Communicator::SendInternal(int dst, int tag, const Slice& payload) const {
                        delay ? NowMicros() + delay : 0});
 }
 
-Message Communicator::RecvInternal(int src, int tag) const {
-  return world_->mailbox(comm_id_, rank_, 1).Recv(src, tag);
-}
-
-bool Communicator::RecvInternalFor(int src, int tag, uint64_t timeout_us,
-                                   Message* out) const {
-  return world_->mailbox(comm_id_, rank_, 1).RecvFor(src, tag, timeout_us,
+bool Communicator::RecvInternal(int src, int tag, uint64_t deadline_us,
+                                Message* out) const {
+  return world_->mailbox(comm_id_, rank_, 1).Receive(src, tag, deadline_us,
                                                      out);
 }
 
@@ -178,39 +155,27 @@ Communicator Communicator::Dup() const {
   return Communicator(world_, id, rank_);
 }
 
-void Communicator::Barrier() const {
-  const int n = size();
-  if (n == 1) return;
-  if (rank_ == 0) {
-    for (int r = 1; r < n; ++r) RecvInternal(kAnySource, kBarrierInTag);
-    for (int r = 1; r < n; ++r) SendInternal(r, kBarrierOutTag, Slice());
-  } else {
-    SendInternal(0, kBarrierInTag, Slice());
-    RecvInternal(0, kBarrierOutTag);
-  }
-}
+void Communicator::Barrier() const { BarrierUntil(kNoDeadline); }
 
 bool Communicator::BarrierFor(uint64_t timeout_us) const {
+  return BarrierUntil(DeadlineAfter(timeout_us));
+}
+
+bool Communicator::BarrierUntil(uint64_t deadline_us) const {
   const int n = size();
   if (n == 1) return true;
-  const uint64_t deadline = NowMicros() + timeout_us;
-  auto remaining = [deadline]() -> uint64_t {
-    const uint64_t now = NowMicros();
-    return deadline > now ? deadline - now : 0;
-  };
   Message m;
   if (rank_ == 0) {
     for (int r = 1; r < n; ++r) {
-      if (!RecvInternalFor(kAnySource, kBarrierInTag, remaining(), &m)) {
+      if (!RecvInternal(kAnySource, kBarrierInTag, deadline_us, &m)) {
         return false;
       }
     }
     for (int r = 1; r < n; ++r) SendInternal(r, kBarrierOutTag, Slice());
-  } else {
-    SendInternal(0, kBarrierInTag, Slice());
-    if (!RecvInternalFor(0, kBarrierOutTag, remaining(), &m)) return false;
+    return true;
   }
-  return true;
+  SendInternal(0, kBarrierInTag, Slice());
+  return RecvInternal(0, kBarrierOutTag, deadline_us, &m);
 }
 
 void Communicator::Allgather(const Slice& mine,
@@ -223,8 +188,9 @@ void Communicator::Allgather(const Slice& mine,
   }
   if (rank_ == 0) {
     (*out)[0] = mine.ToString();
+    Message m;
     for (int i = 1; i < n; ++i) {
-      Message m = RecvInternal(kAnySource, kGatherTag);
+      RecvInternal(kAnySource, kGatherTag, kNoDeadline, &m);
       (*out)[static_cast<size_t>(m.src)] = std::move(m.payload);
     }
     // Serialize all contributions and broadcast.
@@ -233,7 +199,8 @@ void Communicator::Allgather(const Slice& mine,
     for (int r = 1; r < n; ++r) SendInternal(r, kBcastTag, packed);
   } else {
     SendInternal(0, kGatherTag, mine);
-    Message m = RecvInternal(0, kBcastTag);
+    Message m;
+    RecvInternal(0, kBcastTag, kNoDeadline, &m);
     Slice in(m.payload);
     for (int i = 0; i < n; ++i) {
       Slice part;
@@ -243,42 +210,6 @@ void Communicator::Allgather(const Slice& mine,
       (*out)[static_cast<size_t>(i)] = part.ToString();
     }
   }
-}
-
-void Communicator::Bcast(std::string* data, int root) const {
-  const int n = size();
-  if (n == 1) return;
-  if (rank_ == root) {
-    for (int r = 0; r < n; ++r) {
-      if (r != root) SendInternal(r, kBcastTag, *data);
-    }
-  } else {
-    Message m = RecvInternal(root, kBcastTag);
-    *data = std::move(m.payload);
-  }
-}
-
-uint64_t Communicator::AllreduceSum(uint64_t v) const {
-  char buf[8];
-  EncodeFixed64(buf, v);
-  std::vector<std::string> all;
-  Allgather(Slice(buf, 8), &all);
-  uint64_t sum = 0;
-  for (const auto& s : all) sum += DecodeFixed64(s.data());
-  return sum;
-}
-
-uint64_t Communicator::AllreduceMax(uint64_t v) const {
-  char buf[8];
-  EncodeFixed64(buf, v);
-  std::vector<std::string> all;
-  Allgather(Slice(buf, 8), &all);
-  uint64_t mx = 0;
-  for (const auto& s : all) {
-    uint64_t x = DecodeFixed64(s.data());
-    if (x > mx) mx = x;
-  }
-  return mx;
 }
 
 }  // namespace papyrus::net

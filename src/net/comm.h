@@ -14,7 +14,7 @@
 //   * Dup() to derive independent communicators — messages on one can never
 //     match receives on another (the interoperability guarantee that lets
 //     the KVS runtime share the network with the application);
-//   * the collectives the KVS needs: Barrier, Bcast, Allgather, Allreduce.
+//   * the collectives the KVS needs: Barrier and Allgather.
 //
 // Every Send is charged against the simulated interconnect (sim/), so
 // message timing reflects the modelled fabric.  All operations are
@@ -38,6 +38,8 @@ namespace papyrus::net {
 
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+// A receive deadline (NowMicros() time) that never passes.
+inline constexpr uint64_t kNoDeadline = UINT64_MAX;
 
 struct Message {
   int src = -1;
@@ -55,18 +57,24 @@ struct Message {
 };
 
 // One rank's receive queue on one communicator.  FIFO per (src, tag);
-// receives take the earliest matching *visible* message.
+// receives take the earliest matching *visible* message.  Every receive —
+// blocking, deadline-bounded, collective — runs the one match loop in
+// Receive.
 class Mailbox {
  public:
   void Deliver(Message msg);
   // Blocks until a message matching (src, tag) is available and visible.
   Message Recv(int src, int tag);
-  // Non-blocking variant; returns false if nothing matches (a matching
-  // but not-yet-visible message counts as absent).
-  bool TryRecv(int src, int tag, Message* out);
   // Deadline variant: waits at most timeout_us for a visible match; false on
-  // timeout.  The recovery primitive for lost messages — see DESIGN.md §8.
+  // timeout (timeout_us = 0 only takes an already-visible match).  The
+  // recovery primitive for lost messages — see DESIGN.md §8.
   bool RecvFor(int src, int tag, uint64_t timeout_us, Message* out);
+  // The match loop: takes the earliest visible match into *out, or waits
+  // until deadline_us (NowMicros() time; kNoDeadline = forever) and returns
+  // false.  Parks on the condvar while nothing matches and no deadline
+  // bounds the wait; sleeps until the earliest in-flight match turns
+  // visible otherwise.
+  bool Receive(int src, int tag, uint64_t deadline_us, Message* out);
 
  private:
   bool Matches(const Message& m, int src, int tag) const {
@@ -101,9 +109,8 @@ class Communicator {
   // where the expected message can be lost (the analyzer rejects new naked
   // Recv call sites outside this module).
   Message Recv(int src = kAnySource, int tag = kAnyTag) const;
-  // Non-blocking probe+receive.
-  bool TryRecv(int src, int tag, Message* out) const;
-  // Deadline receive; false on timeout.
+  // Deadline receive; false on timeout.  timeout_us = 0 is the
+  // non-blocking probe+receive.
   bool RecvFor(int src, int tag, uint64_t timeout_us, Message* out) const;
 
   // Collective: returns a new communicator with the same group but a
@@ -112,19 +119,17 @@ class Communicator {
   Communicator Dup() const;
 
   // Collectives (all ranks must call; implemented over internal tags so
-  // they never interfere with user point-to-point traffic).
+  // they never interfere with user point-to-point traffic).  Barrier is
+  // BarrierFor without a deadline.
   void Barrier() const;
   // Barrier with a deadline covering the whole collective; false on timeout
   // (a peer failed to arrive — e.g. it crashed or wedged).  All ranks must
   // still call it; a timeout on one rank implies the barrier cannot
   // complete anywhere.
   bool BarrierFor(uint64_t timeout_us) const;
-  void Bcast(std::string* data, int root) const;
   // Gathers each rank's contribution into out (indexed by rank) on all
   // ranks.
   void Allgather(const Slice& mine, std::vector<std::string>* out) const;
-  uint64_t AllreduceSum(uint64_t v) const;
-  uint64_t AllreduceMax(uint64_t v) const;
 
   World* world() const { return world_; }
   bool valid() const { return world_ != nullptr; }
@@ -135,9 +140,10 @@ class Communicator {
       : world_(world), comm_id_(comm_id), rank_(rank) {}
 
   void SendInternal(int dst, int tag, const Slice& payload) const;
-  Message RecvInternal(int src, int tag) const;
-  bool RecvInternalFor(int src, int tag, uint64_t timeout_us,
-                       Message* out) const;
+  // Collective-channel receive on the match loop (deadline as in Receive).
+  bool RecvInternal(int src, int tag, uint64_t deadline_us,
+                    Message* out) const;
+  bool BarrierUntil(uint64_t deadline_us) const;
 
   World* world_ = nullptr;
   uint64_t comm_id_ = 0;

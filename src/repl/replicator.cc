@@ -218,19 +218,9 @@ void Replicator::AckWhenDurable(uint64_t seq, std::function<void()> fn) {
 }
 
 void Replicator::WaitLocalDurable() {
-  struct Latch {
-    Mutex mu{"repl_latch_mu"};
-    CondVar cv;
-    bool done GUARDED_BY(mu) = false;
-  };
-  auto latch = std::make_shared<Latch>();
-  AckWhenDurable(last_seq(), [latch] {
-    MutexLock lock(&latch->mu);
-    latch->done = true;
-    latch->cv.NotifyAll();
-  });
-  MutexLock lock(&latch->mu);
-  while (!latch->done) latch->cv.Wait(&latch->mu);
+  auto durable = std::make_shared<async::OpState>();
+  AckWhenDurable(last_seq(), [durable] { durable->Complete(Status::OK()); });
+  durable->Wait().IgnoreError();  // completes with OK only
 }
 
 void Replicator::OnAppendAck(int follower, uint64_t epoch,

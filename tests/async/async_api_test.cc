@@ -55,7 +55,7 @@ TEST_F(AsyncApiTest, PutGetDeleteRoundTripThroughEvents) {
 
       papyruskv_event_t ev = 0;
       ASSERT_EQ(PutAsyncStr(db, remote[0], "r0", &ev), PAPYRUSKV_SUCCESS);
-      EXPECT_GE(ev, papyrus::core::kAsyncEventBase);
+      EXPECT_GE(ev, 1);  // async ops and runtime events share one table
       EXPECT_EQ(papyruskv_wait(db, ev), PAPYRUSKV_SUCCESS);
       // An event is consumed by its wait.
       EXPECT_EQ(papyruskv_wait(db, ev), PAPYRUSKV_INVALID_EVENT);
@@ -523,8 +523,8 @@ TEST_F(AsyncApiTest, WaitRejectsUnknownAndNullArguments) {
     papyruskv_db_t db;
     ASSERT_EQ(papyruskv_open("argdb", PAPYRUSKV_CREATE, nullptr, &db),
               PAPYRUSKV_SUCCESS);
-    EXPECT_EQ(papyruskv_wait(db, papyrus::core::kAsyncEventBase + 999),
-              PAPYRUSKV_INVALID_EVENT);
+    // A never-issued id (the table starts empty).
+    EXPECT_EQ(papyruskv_wait(db, 999), PAPYRUSKV_INVALID_EVENT);
     papyruskv_event_t ev = 0;
     EXPECT_EQ(papyruskv_put_async(db, nullptr, 0, "v", 1, &ev),
               PAPYRUSKV_INVALID_ARG);
@@ -533,6 +533,45 @@ TEST_F(AsyncApiTest, WaitRejectsUnknownAndNullArguments) {
     // get_async requires an event — the value arrives at wait time.
     EXPECT_EQ(papyruskv_get_async(db, "k", 1, &value, &vallen, nullptr),
               PAPYRUSKV_INVALID_ARG);
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
+// Checkpoint events live in the same table as put_async events, but a fence
+// retires only completed put/delete events: a checkpoint event that
+// completed before the fence must survive it for its own papyruskv_wait.
+TEST_F(AsyncApiTest, FenceNeverReapsCheckpointEvents) {
+  TempDir snap{"async_ckpt"};
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("ckptev", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    auto shard = papyrus::core::DbHandle(db);
+    const auto local = KeysOwnedBy(shard, ctx.rank, 2);
+    const auto remote = KeysOwnedBy(shard, 1 - ctx.rank, 1);
+    ASSERT_EQ(PutStr(db, local[0], "before"), PAPYRUSKV_SUCCESS);
+
+    papyruskv_event_t ckpt = 0;
+    ASSERT_EQ(papyruskv_checkpoint(db, snap.path().c_str(), &ckpt),
+              PAPYRUSKV_SUCCESS);
+    // The SSTABLE barrier queues a flush behind the checkpoint's transfer on
+    // the one compaction thread and waits for it, so the checkpoint event
+    // is complete (reapable, were it a put) before the fence below.
+    ASSERT_EQ(PutStr(db, local[1], "after"), PAPYRUSKV_SUCCESS);
+    ASSERT_EQ(papyruskv_barrier(db, PAPYRUSKV_SSTABLE), PAPYRUSKV_SUCCESS);
+
+    papyruskv_event_t put = 0;
+    ASSERT_EQ(PutAsyncStr(db, remote[0], "v", &put), PAPYRUSKV_SUCCESS);
+    ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+    // The fence consumed the put event, not the checkpoint event.
+    EXPECT_EQ(papyruskv_wait(db, put), PAPYRUSKV_INVALID_EVENT);
+    EXPECT_EQ(papyruskv_wait(db, ckpt), PAPYRUSKV_SUCCESS);
+    // A waited runtime event is consumed like any other.
+    EXPECT_EQ(papyruskv_wait(db, ckpt), PAPYRUSKV_INVALID_EVENT);
+    ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
 }

@@ -75,11 +75,12 @@ TEST(CommTest, TagSelectiveReceive) {
   });
 }
 
+// A zero-timeout RecvFor is the non-blocking probe+receive.
 TEST(CommTest, TryRecvNonBlocking) {
   RunRanks(2, [](RankContext& ctx) {
     if (ctx.rank == 0) {
       Message out;
-      EXPECT_FALSE(ctx.comm.TryRecv(1, 99, &out));  // nothing yet
+      EXPECT_FALSE(ctx.comm.RecvFor(1, 99, 0, &out));  // nothing yet
       ctx.comm.Send(1, 3, Slice("go"));
       Message m = ctx.comm.Recv(1, 4);
       EXPECT_EQ(m.payload, "done");
@@ -151,22 +152,6 @@ TEST(CommTest, AllgatherCollectsInRankOrder) {
   });
 }
 
-TEST(CommTest, BcastFromNonzeroRoot) {
-  RunRanks(4, [](RankContext& ctx) {
-    std::string data = ctx.rank == 2 ? "from2" : "";
-    ctx.comm.Bcast(&data, 2);
-    EXPECT_EQ(data, "from2");
-  });
-}
-
-TEST(CommTest, AllreduceSumAndMax) {
-  RunRanks(5, [](RankContext& ctx) {
-    const uint64_t v = static_cast<uint64_t>(ctx.rank) + 1;
-    EXPECT_EQ(ctx.comm.AllreduceSum(v), 15u);
-    EXPECT_EQ(ctx.comm.AllreduceMax(v), 5u);
-  });
-}
-
 TEST(CommTest, SingleRankCollectivesAreNoops) {
   RunRanks(1, [](RankContext& ctx) {
     ctx.comm.Barrier();
@@ -174,7 +159,7 @@ TEST(CommTest, SingleRankCollectivesAreNoops) {
     ctx.comm.Allgather(Slice("x"), &all);
     ASSERT_EQ(all.size(), 1u);
     EXPECT_EQ(all[0], "x");
-    EXPECT_EQ(ctx.comm.AllreduceSum(3), 3u);
+    EXPECT_TRUE(ctx.comm.BarrierFor(0));
   });
 }
 
@@ -225,26 +210,41 @@ TEST(CommTest, PropagationDelaysDeliveryNotSender) {
   sim::SetTimeScale(0.0);
 }
 
+// A zero-timeout RecvFor never takes a message that is still in flight.
 TEST(CommTest, TryRecvSkipsInFlightMessages) {
-  sim::SetTimeScale(50000.0);  // one-way latency = 75ms
-  sim::Topology topo{.nranks = 2, .ranks_per_node = 1};
-  RunRanks(topo, [](RankContext& ctx) {
-    if (ctx.rank == 0) {
-      ctx.comm.Send(1, 9, Slice("x"));
-      ctx.comm.Send(1, 10, Slice("handshake"));
-    } else {
-      // Wait for proof both sends happened (tag 10 blocks until visible),
-      // then check that an in-flight message earlier would NOT have been
-      // TryRecv-able right after its send: by now both are visible, so we
-      // instead verify ordering survived the delay machinery.
-      Message hs = ctx.comm.Recv(0, 10);
-      EXPECT_EQ(hs.payload, "handshake");
-      Message out;
-      EXPECT_TRUE(ctx.comm.TryRecv(0, 9, &out));
-      EXPECT_EQ(out.payload, "x");
-    }
-  });
-  sim::SetTimeScale(0.0);
+  Mailbox box;
+  Message in;
+  in.src = 0;
+  in.tag = 9;
+  in.payload = "x";
+  in.visible_at_us = papyrus::NowMicros() + 60'000'000;  // a minute out
+  box.Deliver(in);
+  Message out;
+  EXPECT_FALSE(box.RecvFor(0, 9, 0, &out));
+  EXPECT_FALSE(box.RecvFor(kAnySource, kAnyTag, 1000, &out));
+  // A visible message behind it from another source is still taken.
+  in.src = 1;
+  in.payload = "y";
+  in.visible_at_us = 0;
+  box.Deliver(in);
+  ASSERT_TRUE(box.RecvFor(kAnySource, 9, 0, &out));
+  EXPECT_EQ(out.payload, "y");
+}
+
+// A receive without a deadline returns an in-flight message once it turns
+// visible (not before, and without parking past it).
+TEST(CommTest, RecvWithoutDeadlineTakesInFlightMessageOnceVisible) {
+  Mailbox box;
+  Message in;
+  in.src = 0;
+  in.tag = 9;
+  in.payload = "late";
+  const uint64_t t0 = papyrus::NowMicros();
+  in.visible_at_us = t0 + 30'000;
+  box.Deliver(in);
+  Message out = box.Recv(0, 9);
+  EXPECT_EQ(out.payload, "late");
+  EXPECT_GE(papyrus::NowMicros(), t0 + 30'000);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(RuntimeTest, SequentialJobsAreIndependent) {
         EXPECT_EQ(ctx.comm.Recv(0, 1).payload, "j" + std::to_string(job));
         // No stale messages from the previous job.
         Message stale;
-        EXPECT_FALSE(ctx.comm.TryRecv(kAnySource, kAnyTag, &stale));
+        EXPECT_FALSE(ctx.comm.RecvFor(kAnySource, kAnyTag, 0, &stale));
       }
     });
   }

@@ -97,7 +97,9 @@ TEST(MemTableTest, ForEachSortedIsKeyOrdered) {
   std::string prev;
   size_t n = 0;
   mem.ForEachSorted([&](const Slice& key, const MemTable::Entry&) {
-    if (n > 0) EXPECT_LT(Slice(prev).compare(key), 0);
+    if (n > 0) {
+      EXPECT_LT(Slice(prev).compare(key), 0);
+    }
     prev = key.ToString();
     ++n;
   });

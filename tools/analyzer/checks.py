@@ -52,8 +52,7 @@ PIPELINE_ROOTS = ("ProcessCycle",)
 BLOCKING_CALLS = frozenset({
     "Recv", "RecvInternal",
     "Barrier", "BarrierFor", "CollectiveBarrier", "RestartBarrier",
-    "SignalWait", "WaitEvent", "WaitAsyncOp", "Wait",
-    "WaitMigrationsDrained", "WaitFlushesDrained",
+    "SignalWait", "WaitEvent", "Wait", "WaitDrained",
     "Drain", "Fence",
 })
 

@@ -11,8 +11,8 @@ lines).  The model captures everything protocol_checks.py needs:
     (SendRequest / SendResponse / RequestReply), with the opcode tokens the
     call carries (directly, or assigned to the opcode variable it passes)
     and whether the site sits inside a retry loop;
-  * every receive site (Recv / RecvInternal / TryRecv / RecvFor /
-    BarrierFor), with its boundedness;
+  * every receive site (Recv / RecvInternal / RecvFor / BarrierFor), with
+    its boundedness;
   * the KvRuntime-style handler dispatch switch (switch on a message tag
     with >= 2 opcode case arms), each arm's handler functions and the
     Decode<Frame> frames they consume;
@@ -44,10 +44,7 @@ COMM_MODULE_FILES = ("src/net/comm.h", "src/net/comm.cc")
 # Collective operations.  The generic comm names require a communicator
 # receiver (so `store.Barrier()` / `db->Barrier()` — KV-level fences — stay
 # out); the runtime's own bounded wrappers are collectives by name.
-COLLECTIVE_COMM_NAMES = frozenset({
-    "Barrier", "BarrierFor", "Bcast", "Allgather",
-    "AllreduceSum", "AllreduceMax",
-})
+COLLECTIVE_COMM_NAMES = frozenset({"Barrier", "BarrierFor", "Allgather"})
 COLLECTIVE_PLAIN_NAMES = frozenset({"CollectiveBarrier", "RestartBarrier"})
 
 # A branch condition that can evaluate differently on different ranks.
@@ -288,7 +285,7 @@ def _scan_sends_recvs(proto, model):
         for m in re.finditer(
                 r"(?:\b([\w]+)\s*(?:\(\s*\))?\s*(?:\.|->)\s*)?"
                 r"\b(Send|SendRequest|SendResponse|RequestReply|Recv|"
-                r"RecvInternal|TryRecv|RecvFor)\s*\(", joined):
+                r"RecvInternal|RecvFor)\s*\(", joined):
             recv_name, call = m.group(1), m.group(2)
             open_idx = m.end() - 1
             bidx = index[min(m.start(2), len(index) - 1)]
@@ -323,7 +320,7 @@ def _scan_sends_recvs(proto, model):
                     proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                                 bounded=True))
             else:
-                bounded = call in ("TryRecv", "RecvFor")
+                bounded = call == "RecvFor"
                 proto.recvs.append(RecvSite(fn, line, call, recv_name,
                                             bounded))
 
