@@ -29,20 +29,20 @@
 #                  concurrency-sensitive test subset (async_test and
 #                  fault_test included, so the submission pipeline and the
 #                  retry/recovery paths get the TSan treatment)
-#   7. bench       micro_kv + fig06_basic + micro_kv_async + repl_failover
-#                  smoke runs with the metrics hook:
-#                  each writes an aggregate BENCH_<name>.json snapshot at
-#                  the repo root (committed, so metric drift shows in
-#                  review); micro_kv runs with PAPYRUSKV_OBS=<dir>
-#                  (stats + trace + flight, overhead bound: E14);
-#                  repl_failover runs 4 ranks under a 180s timeout (a
-#                  hang archives its obs dir and fails the stage), times
-#                  its own barrier-bracketed windows, and the victim's
-#                  flight dump must record the crash; then
-#                  perfbench --smoke runs of hot_sync (gets on MemTable-
-#                  resident keys), ingest (flush -> compaction -> reopen
-#                  -> read-back) and nvm_read (gets over SSTables), each
-#                  checking every value byte for byte
+#   7. bench       micro_kv + fig06_basic + micro_kv_async smoke runs with
+#                  the metrics hook: each writes an aggregate
+#                  BENCH_<name>.json snapshot at the repo root (committed,
+#                  so metric drift shows in review); micro_kv runs with
+#                  PAPYRUSKV_OBS=<dir> (stats + trace + flight, overhead
+#                  bound: E14); then perfbench --smoke runs of hot_sync
+#                  (gets on MemTable-resident keys), batch_async (put_async
+#                  windows + fence + get_multi), ingest (flush ->
+#                  compaction -> reopen -> read-back) and nvm_read (gets
+#                  over SSTables), each checking every value byte for
+#                  byte; last, repl_failover runs 4 ranks under a 180s
+#                  timeout (a hang archives its obs dir and fails the
+#                  stage), times its own barrier-bracketed windows, and
+#                  the victim's flight dump must record the crash
 #
 # Any stage failing fails the script (set -e); the summary line at the end
 # only prints on full success.  Stages skipped for missing toolchains are
@@ -179,6 +179,20 @@ PAPYRUSKV_OBS="${BENCH_TMP}/mkv_obs" \
 # gauges so the batching speedup is part of the results trajectory.
 ./build/bench/micro_kv_async --ranks=8 --iters=1000 \
   --repo="${BENCH_TMP}/mka"
+# The MemTable index (hot_sync: every key stays MemTable-resident), the
+# pipeline's coalesced put_async/get_multi frames (batch_async) and the
+# store's chunked write / scan path end to end: perfbench exits non-zero
+# on any wrong, missing or failed result.  These run before repl_failover,
+# whose stall (ROADMAP item 1) would otherwise end the stage first.
+for w in hot_sync batch_async ingest nvm_read; do
+  if ! python3 perfbench/run.py --workload "${w}" --smoke --seed 1 \
+      --seconds 2 > "${BENCH_TMP}/perfbench_${w}.txt"; then
+    cat "${BENCH_TMP}/perfbench_${w}.txt"
+    echo "ci.sh: perfbench ${w} --smoke failed"
+    exit 1
+  fi
+  tail -1 "${BENCH_TMP}/perfbench_${w}.txt"
+done
 # Replication failover at 4 ranks (DESIGN.md §12): the bench times its six
 # barrier-bracketed windows itself; the snapshot carries before/dip/after
 # KRPS plus the per-window put rates (bench.w<k>_ops).  The bench writes
@@ -198,18 +212,6 @@ fi
 grep -q '"kind": "crash"' "${BENCH_TMP}/rfo/obs/flight.rank3.json"
 ls -l BENCH_micro_kv.json BENCH_fig06_basic.json BENCH_micro_kv_async.json \
   BENCH_repl_failover.json
-# The MemTable index (hot_sync: every key stays MemTable-resident) and the
-# store's chunked write / scan path end to end: perfbench exits non-zero
-# on any wrong, missing or failed result.
-for w in hot_sync ingest nvm_read; do
-  if ! python3 perfbench/run.py --workload "${w}" --smoke --seed 1 \
-      --seconds 2 > "${BENCH_TMP}/perfbench_${w}.txt"; then
-    cat "${BENCH_TMP}/perfbench_${w}.txt"
-    echo "ci.sh: perfbench ${w} --smoke failed"
-    exit 1
-  fi
-  tail -1 "${BENCH_TMP}/perfbench_${w}.txt"
-done
 
 stage "" ""
 echo

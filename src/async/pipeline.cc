@@ -89,6 +89,7 @@ AsyncPipeline::AsyncPipeline(core::KvRuntime& rt) : rt_(rt) {
   obs::Registry& reg = rt_.metrics();
   g_depth_ = &reg.GetGauge("async.queue_depth");
   g_inflight_ = &reg.GetGauge("async.inflight");
+  g_mig_q_ = &reg.GetGauge("net.migration_queue_depth");
   h_put_batch_ = &reg.GetHistogram("async.batch_size");
   h_get_batch_ = &reg.GetHistogram("async.get_batch_size");
   h_repl_batch_ = &reg.GetHistogram("async.repl_batch_size");
@@ -96,6 +97,7 @@ AsyncPipeline::AsyncPipeline(core::KvRuntime& rt) : rt_(rt) {
   c_frames_ = &reg.GetCounter("async.frames");
   h_put_op_us_ = &reg.GetHistogram("async.put_op_us");
   h_get_op_us_ = &reg.GetHistogram("async.get_op_us");
+  h_migration_us_ = &reg.GetHistogram("store.migration_us");
 }
 
 void AsyncPipeline::RecordOpLatency(Submission::Kind kind, uint64_t start) {
@@ -167,9 +169,35 @@ void AsyncPipeline::Enqueue(int dst, Submission s) {
     MutexLock lock(&mu_);
     lane.queues[dst].push_back(std::move(s));
     ++lane.queued;
-    g_depth_->Set(static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
+    PublishGaugesLocked();
   }
   lane.cv.NotifyOne();
+}
+
+void AsyncPipeline::PublishGaugesLocked() {
+  const size_t migrations = ops_lane_.migrations.size();
+  g_depth_->Set(static_cast<int64_t>(ops_lane_.queued - migrations +
+                                     repl_lane_.queued));
+  g_mig_q_->Set(static_cast<int64_t>(migrations));
+  g_inflight_->Set(
+      static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+}
+
+void AsyncPipeline::SubmitMigration(std::shared_ptr<core::DbShard> db,
+                                    store::MemTablePtr sealed) {
+  {
+    MutexLock lock(&mu_);
+    // §2.4 back-pressure: "the MPI rank is blocked on the put operation
+    // until the queue is available".
+    while (ops_lane_.migrations.size() >= core::kDefaultQueueDepth) {
+      migration_cv_.Wait(&mu_);
+    }
+    ops_lane_.migrations.push_back(
+        Migration{std::move(db), std::move(sealed)});
+    ++ops_lane_.queued;
+    PublishGaugesLocked();
+  }
+  ops_lane_.cv.NotifyOne();
 }
 
 OpHandle AsyncPipeline::SubmitPut(int dst, uint32_t dbid, const Slice& key,
@@ -309,6 +337,7 @@ void AsyncPipeline::Drain() {
 }
 
 bool AsyncPipeline::HasUnownedWorkLocked(const Lane& lane) const {
+  if (!lane.migrations.empty()) return true;
   for (const auto& [dst, q] : lane.queues) {
     if (lane.owned.count(dst) == 0) return true;
   }
@@ -319,6 +348,7 @@ void AsyncPipeline::Loop(Lane* lane) {
   rt_.AdoptObservability(lane->name);
   for (;;) {
     std::map<int, std::deque<Submission>> work;
+    std::optional<Migration> mig;
     size_t count = 0;
     {
       MutexLock lock(&mu_);
@@ -346,23 +376,26 @@ void AsyncPipeline::Loop(Lane* lane) {
         }
         it = next;
       }
+      // At most one migration per cycle keeps them FIFO and one at a time.
+      if (!lane->migrations.empty()) {
+        mig = std::move(lane->migrations.front());
+        lane->migrations.pop_front();
+        ++count;
+      }
       lane->inflight += count;
       lane->queued -= count;
-      g_depth_->Set(
-          static_cast<int64_t>(ops_lane_.queued + repl_lane_.queued));
-      g_inflight_->Set(
-          static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+      PublishGaugesLocked();
     }
+    if (mig) migration_cv_.NotifyOne();
     std::vector<int> dsts;
     dsts.reserve(work.size());
     for (const auto& [dst, q] : work) dsts.push_back(dst);
-    ProcessCycle(std::move(work));
+    ProcessCycle(std::move(work), std::move(mig));
     {
       MutexLock lock(&mu_);
       lane->inflight -= count;
       for (int dst : dsts) lane->owned.erase(dst);
-      g_inflight_->Set(
-          static_cast<int64_t>(ops_lane_.inflight + repl_lane_.inflight));
+      PublishGaugesLocked();
     }
     drain_cv_.NotifyAll();
   }
@@ -497,12 +530,14 @@ void AsyncPipeline::RunChains(std::map<int, std::vector<Frame>>* chains,
   }
 }
 
-void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
+void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work,
+                                 std::optional<Migration> mig) {
   using Kind = Submission::Kind;
+  obs::ScopedLatency mig_lat(mig ? h_migration_us_ : nullptr);
   if (rt_.crashed()) {
     // A crashed rank emits no traffic (§4.2 failure model); every queued op
     // still completes so no waiter can hang.  A repl op has no waiter: the
-    // stream dies with the rank.
+    // stream dies with the rank, as the migration's payload does.
     for (auto& [dst, q] : work) {
       for (Submission& s : q) {
         c_op_errors_->Inc();
@@ -511,6 +546,7 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
         }
       }
     }
+    if (mig) mig->db->MigrationFinished(mig->mem);
     return;
   }
 
@@ -558,7 +594,35 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
     }
   }
 
+  // §2.4 migration: sort the table by owner and send each owner its chunk
+  // as one put_batch frame at the tail of that owner's chain, never split:
+  // one round trip per owner.  Re-applying a chunk is idempotent.
+  std::optional<obs::OpSpan> mig_span;  // parent of the chunks' rpc spans
+  if (mig) {
+    mig_span.emplace("net", "migration");
+    for (const auto& [owner, records] :
+         mig->db->CollectOwnerChunks(*mig->mem)) {
+      assert(owner != rt_.rank() &&
+             "remote MemTable must not hold self-owned pairs");
+      Frame f;
+      f.dst = owner;
+      f.dbid = mig->db->id();
+      f.migrated = records.size();
+      EncodeFrame(&f, records, {});
+      chains[owner].push_back(std::move(f));
+    }
+  }
+
   RunChains(&chains, [&](Frame& f, Status s, const std::string& ack) {
+    if (f.migrated > 0) {  // no submissions: keep the first failed record
+      CompleteFrame(f, f.migrated, std::move(s), ack,
+                    [&](size_t, Status st, core::GetResp) {
+                      if (st.ok()) return;
+                      MutexLock lock(&mu_);
+                      failures_.try_emplace(f.dbid, std::move(st));
+                    });
+      return;
+    }
     if (f.kind != Kind::kRepl) {
       CompleteFrame(f, f.ops.size(), std::move(s), ack,
                     [&](size_t i, Status st, core::GetResp resp) {
@@ -586,41 +650,8 @@ void AsyncPipeline::ProcessCycle(std::map<int, std::deque<Submission>> work) {
       r->OnAppendFailed(f.dst);
     }
   });
-}
-
-void AsyncPipeline::Migrate(
-    uint32_t dbid, const std::map<int, std::vector<KvRecord>>& chunks) {
-  // One single-frame chain per owner.  Re-applying a chunk is idempotent
-  // (the handler replays the same records in order), and the dispatcher
-  // holds this migration until every chunk is settled, so no later chunk
-  // from this rank can interleave with a retry.
-  std::map<int, std::vector<Frame>> chains;
-  for (const auto& [owner, records] : chunks) {
-    assert(owner != rt_.rank() &&
-           "remote MemTable must not hold self-owned pairs");
-    Frame f;
-    f.dst = owner;
-    f.kind = Submission::Kind::kPut;
-    f.dbid = dbid;
-    EncodeFrame(&f, records, {});
-    chains[owner].push_back(std::move(f));
-  }
-  RunChains(&chains, [&](Frame& f, Status s, const std::string& ack) {
-    const std::vector<KvRecord>& records = chunks.at(f.dst);
-    size_t failed = 0;
-    std::string first;  // the first failed record and its status
-    CompleteFrame(f, records.size(), std::move(s), ack,
-                  [&](size_t i, Status st, core::GetResp) {
-                    if (st.ok()) return;
-                    if (failed++ == 0) {
-                      first = "'" + records[i].key + "': " + st.ToString();
-                    }
-                  });
-    if (failed > 0) {
-      PLOG_ERROR << "migration to rank " << f.dst << ": " << failed << " of "
-                 << records.size() << " records failed, first " << first;
-    }
-  });
+  // Every chunk is settled: the owners hold the table's records.
+  if (mig) mig->db->MigrationFinished(mig->mem);
 }
 
 }  // namespace papyrus::async

@@ -31,6 +31,15 @@
 // while it has no queued submission and no frame in flight, so a sync op
 // never overtakes an earlier put_async to the same owner.
 //
+// The ops lane is also the paper's message dispatcher (§2.4): a cycle takes
+// at most one sealed remote MemTable (SubmitMigration), oldest first, and
+// adds one put_batch frame per owner to that owner's chain; a cycle settles
+// every frame before the next, so owners apply sealed tables in seal order.
+// Migration frames take no claim.  That is safe: a chunk carries only
+// relaxed-mode records, which their own rank reads from the sealed table
+// until MigrationFinished, and a mode switch fences (SetConsistency), so no
+// sequential op is ever ordered against one.
+//
 // Failure semantics: retry/timeout is per *frame*, on the runtime's one
 // retry ladder (KvRuntime::AwaitReply; re-sending the chain's in-flight
 // frame is idempotent, like migration chunks); per-op errors
@@ -47,6 +56,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -57,8 +67,10 @@
 #include "common/status.h"
 #include "core/wire.h"
 #include "obs/metrics.h"
+#include "store/memtable.h"
 
 namespace papyrus::core {
+class DbShard;
 class KvRuntime;
 }  // namespace papyrus::core
 
@@ -150,20 +162,17 @@ class AsyncPipeline {
                         uint64_t flushed_through, const Slice& key,
                         const Slice& value, bool tombstone);
 
-  // Sends one relaxed-mode migration (§2.4) on the calling dispatcher
-  // thread: one put_batch frame per owner in `chunks`, every frame on the
-  // wire before the first ack is awaited, on the same frame machinery and
-  // retry ladder as the pipeline's own put frames.  Returns once each
-  // frame is acked or given up; failures are logged (the records stay
-  // idempotent to re-apply, and a dead owner must not wedge the fence).
-  void Migrate(uint32_t dbid,
-               const std::map<int, std::vector<core::KvRecord>>& chunks);
+  // Queues `db`'s sealed remote MemTable for migration on the ops lane
+  // (§2.4); blocks while core::kDefaultQueueDepth wait (back-pressure).
+  // Drain covers it; a failed record becomes the db's TakeFailure.
+  void SubmitMigration(std::shared_ptr<core::DbShard> db,
+                       store::MemTablePtr sealed);
 
   // Blocks until every submitted op has completed (fence semantics for
   // async operations; see DbShard::Fence).
   void Drain();
-  // Returns and clears the first failure of an untracked put to `dbid`
-  // since the last call (DbShard::Fence reports it).
+  // Returns and clears the first failure of an untracked put or migrated
+  // record to `dbid` since the last call (DbShard::Fence reports it).
   Status TakeFailure(uint32_t dbid);
 
  private:
@@ -185,8 +194,14 @@ class AsyncPipeline {
     OpHandle handle;  // null for kRepl and untracked puts (no waiter)
   };
 
+  // A sealed remote MemTable awaiting migration.
+  struct Migration {
+    std::shared_ptr<core::DbShard> db;
+    store::MemTablePtr mem;
+  };
+
   // One encoded wire frame: consecutive same-kind, same-db ops for one
-  // destination, capped at batch_max_.
+  // destination, capped at batch_max_, or one migration chunk.
   struct Frame {
     int dst = 0;
     Submission::Kind kind = Submission::Kind::kPut;
@@ -199,6 +214,7 @@ class AsyncPipeline {
     // values are moved into the payload).  Empty for a caller-thread frame,
     // whose one op completes into the caller's stack.
     std::vector<Submission> ops;
+    size_t migrated = 0;  // a migration chunk's record count (ops is empty)
     std::unique_ptr<obs::OpSpan> rpc;  // open until the frame is acked
   };
 
@@ -231,14 +247,19 @@ class AsyncPipeline {
     // those claimed by a caller thread.  Loop swaps out only the queues of
     // destinations not in here.
     std::set<int> owned;
+    // Ops lane only: untaken migrations, oldest first; each counts in queued.
+    std::deque<Migration> migrations;
     size_t queued = 0;
     size_t inflight = 0;
   };
 
   void Loop(Lane* lane);
   bool HasUnownedWorkLocked(const Lane& lane) const REQUIRES(mu_);
-  // Builds, sends, and collects acks for one swap of a lane's queues.
-  void ProcessCycle(std::map<int, std::deque<Submission>> work);
+  // Builds, sends, and settles one swap of a lane's queues and a migration.
+  void ProcessCycle(std::map<int, std::deque<Submission>> work,
+                    std::optional<Migration> mig);
+  // Sets async.queue_depth, async.inflight and net.migration_queue_depth.
+  void PublishGaugesLocked() REQUIRES(mu_);
   void Enqueue(int dst, Submission s);  // routes on s.kind
 
   // Claims ops-lane destination `dst` for the calling thread; fails if it
@@ -257,7 +278,7 @@ class AsyncPipeline {
   // turn under the SDCB rule: frame N+1 of a chain goes on the wire only
   // once frame N is acked, and a frame that exhausted its retries fails the
   // unsent rest of its chain.  settle(f, status, ack) receives each frame's
-  // outcome, in chain order.  Used by ProcessCycle and Migrate.
+  // outcome, in chain order.
   template <typename Settle>
   void RunChains(std::map<int, std::vector<Frame>>* chains, Settle&& settle);
 
@@ -291,17 +312,20 @@ class AsyncPipeline {
   bool started_ = false;  // Start/Stop called from the owning rank thread
 
   Mutex mu_{"async_pipe_mu"};
-  CondVar drain_cv_;  // every lane's queued + inflight reached zero
+  CondVar drain_cv_;      // every lane's queued + inflight reached zero
+  CondVar migration_cv_;  // a cycle took a migration: SubmitMigration room
   bool stop_ GUARDED_BY(mu_) = false;
   std::map<uint32_t, Status> failures_ GUARDED_BY(mu_);  // by dbid
-  // Queue/counter fields guarded by mu_; name/window/thread are set before
-  // the worker starts and joined after it stops, so they need no lock.
+  // analyze:allow-guarded-by: Queue/counter fields guarded by mu_ (the
+  // nested struct cannot name it); name/window/thread are set before the
+  // worker starts and joined after it stops, so they need no lock.
   Lane ops_lane_;
   Lane repl_lane_;
 
   // Cached metrics (resolved once; see obs/metrics.h).
   obs::Gauge* g_depth_;            // async.queue_depth
   obs::Gauge* g_inflight_;         // async.inflight (dispatched, unacked)
+  obs::Gauge* g_mig_q_;            // net.migration_queue_depth
   obs::Histogram* h_put_batch_;    // async.batch_size
   obs::Histogram* h_get_batch_;    // async.get_batch_size
   obs::Histogram* h_repl_batch_;   // async.repl_batch_size
@@ -313,6 +337,7 @@ class AsyncPipeline {
   // entry points record only kv.*_submit_us at enqueue.
   obs::Histogram* h_put_op_us_;    // async.put_op_us
   obs::Histogram* h_get_op_us_;    // async.get_op_us
+  obs::Histogram* h_migration_us_;  // store.migration_us: take → settled
 };
 
 }  // namespace papyrus::async

@@ -363,16 +363,11 @@ void DbShard::RotateRemoteLocked() {
   remote_ = std::make_shared<store::MemTable>(store::MemTable::Kind::kRemote,
                                               opt_.memtable_bytes);
   m_.memtable_remote_bytes->Set(0);
-  remote_mu_.Unlock();
+  remote_mu_.Unlock();  // gets may proceed; the submission below can block
 
-  {
-    MutexLock d(&drain_mu_);
-    ++pending_migrations_;
-  }
-  MigrationJob job;
-  job.db = shared_from_this();
-  job.mem = sealed;
-  rt_.EnqueueMigration(std::move(job));
+  // The ops lane is the message dispatcher (§2.4); blocks while it holds
+  // kDefaultQueueDepth unsent migrations.
+  rt_.pipeline().SubmitMigration(shared_from_this(), sealed);
 }
 
 Status DbShard::SyncRemotePut(const Slice& key, const Slice& value,
@@ -539,7 +534,7 @@ Status DbShard::SearchOneTable(uint64_t ssid, const Slice& key,
 bool DbShard::SearchRemoteMemory(const Slice& key, std::string* value,
                                  bool* tombstone) {
   // Figure 3 remote path prefix: remote MemTable, immutable remote
-  // MemTables in the migration queue (newest first), remote cache.
+  // MemTables awaiting migration (newest first), remote cache.
   {
     MutexLock lock(&remote_mu_);
     if (remote_->Get(key, value, tombstone)) return true;
@@ -942,8 +937,7 @@ Status DbShard::FlushImmutable(const store::MemTablePtr& mem) {
     // the drain bookkeeping so a fence waiting on this flush cannot hang.
     {
       MutexLock lock(&local_mu_);
-      auto it = std::find(imm_local_.begin(), imm_local_.end(), mem);
-      if (it != imm_local_.end()) imm_local_.erase(it);
+      std::erase(imm_local_, mem);
     }
     {
       MutexLock d(&drain_mu_);
@@ -973,8 +967,7 @@ Status DbShard::FlushImmutable(const store::MemTablePtr& mem) {
     // it remains searchable in memory, so no acknowledged write is
     // silently lost just because the device rejected it.
     MutexLock lock(&local_mu_);
-    auto it = std::find(imm_local_.begin(), imm_local_.end(), mem);
-    if (it != imm_local_.end()) imm_local_.erase(it);
+    std::erase(imm_local_, mem);
   } else if (mem->Count() > 0) {
     PLOG_ERROR << "flush of sstable " << ssid << " failed (" << s.ToString()
                << "); keeping " << mem->Count()
@@ -1042,17 +1035,9 @@ void DbShard::DropVolatile() {
 }
 
 void DbShard::MigrationFinished(const store::MemTablePtr& mem) {
-  {
-    MutexLock lock(&remote_mu_);
-    auto it = std::find(imm_remote_.begin(), imm_remote_.end(), mem);
-    if (it != imm_remote_.end()) imm_remote_.erase(it);
-  }
   m_.migrations->Inc();
-  {
-    MutexLock d(&drain_mu_);
-    --pending_migrations_;
-  }
-  drain_cv_.NotifyAll();
+  MutexLock lock(&remote_mu_);
+  std::erase(imm_remote_, mem);  // absent if a crash dropped it
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,19 +1060,7 @@ Status DbShard::Fence() {
     }
     return Status::OK();
   }
-  // Async completion fence: every papyruskv_*_async op submitted before
-  // this fence has been applied (and acked) at its owner once Drain
-  // returns — the batched acks are sent after application, exactly like
-  // migration-chunk acks.
-  rt_.pipeline().Drain();
-  // Retire evented put/delete submissions that were never waited
-  // individually (the quickstart's bulk-completion pattern) so async_ops_
-  // cannot grow without bound; the first failure among them becomes the
-  // fence's status, keeping those errors observable.  Fire-and-forget puts
-  // have no event; the pipeline kept their first failure for this fence.
-  Status reap = rt_.ReapAsyncOps();
-  Status untracked = rt_.pipeline().TakeFailure(id_);
-  if (reap.ok()) reap = std::move(untracked);
+  // Seal the staged remote MemTable: it queues behind every earlier one.
   {
     MutexLock rotate(&remote_rotate_mu_);
     remote_mu_.Lock();
@@ -1097,7 +1070,16 @@ Status DbShard::Fence() {
       remote_mu_.Unlock();
     }
   }
-  WaitDrained(&pending_migrations_);
+  // The one wait: once Drain returns, every migration and papyruskv_*_async
+  // op before this fence is applied (and acked) at its owner.
+  rt_.pipeline().Drain();
+  // Retire never-waited put/delete events (the quickstart's bulk-completion
+  // pattern) so async_ops_ stays bounded.  The fence reports the first
+  // failure among them, else the pipeline's kept first failure of a
+  // fire-and-forget put or migrated record, which have no event.
+  Status reap = rt_.ReapAsyncOps();
+  Status untracked = rt_.pipeline().TakeFailure(id_);
+  if (reap.ok()) reap = std::move(untracked);
   // Replication commit rule (DESIGN.md §12): a fenced put is durable on
   // ⌊k/2⌋+1 replicas before the fence completes.  Remote puts already gated
   // through the owners' deferred batch/migration acks; this waits out the
@@ -1129,15 +1111,15 @@ Status DbShard::Barrier(int level) {
     }
     return Status::OK();
   }
-  Status s = Fence();
-  if (!s.ok()) return s;
+  // A failed op makes the fence fail but must not skip the collective
+  // points below, or the other ranks' barriers never complete.
+  const Status fence = Fence();
   // After every rank's fence, all migrated records have been *applied* at
   // their owners (migration chunks are acked after application), so this
   // collective point establishes the paper's guarantee: all ranks now see
   // the same latest data.
-  s = rt_.CollectiveBarrier();
-  if (!s.ok()) return s;
-  if (level == PAPYRUSKV_SSTABLE) {
+  Status s = rt_.CollectiveBarrier();
+  if (s.ok() && level == PAPYRUSKV_SSTABLE) {
     {
       MutexLock rotate(&local_rotate_mu_);
       local_mu_.Lock();
@@ -1147,10 +1129,10 @@ Status DbShard::Barrier(int level) {
         local_mu_.Unlock();
       }
     }
-    WaitDrained(&pending_flushes_);
+    WaitDrained();
     s = rt_.CollectiveBarrier();
   }
-  return s;
+  return fence.ok() ? s : fence;
 }
 
 Status DbShard::SetConsistency(int mode) {
@@ -1158,13 +1140,13 @@ Status DbShard::SetConsistency(int mode) {
     return Status::InvalidArg("bad consistency mode");
   }
   // Collective (§3.1).  Drain staged remote data first so the mode switch
-  // is a clean synchronization point.
-  Status s = Fence();
-  if (!s.ok()) return s;
-  s = rt_.CollectiveBarrier();
-  if (!s.ok()) return s;
+  // is a clean synchronization point: even a failed fence has settled
+  // every op, and like Barrier it must not skip the collective.
+  const Status fence = Fence();
+  Status s = rt_.CollectiveBarrier();
+  if (!s.ok()) return fence.ok() ? s : fence;
   consistency_.store(mode);
-  return Status::OK();
+  return fence;
 }
 
 Status DbShard::SetProtection(int prot) {
@@ -1184,9 +1166,9 @@ Status DbShard::SetProtection(int prot) {
 
 Status DbShard::FlushAll() { return Barrier(PAPYRUSKV_SSTABLE); }
 
-void DbShard::WaitDrained(const int* pending) {
+void DbShard::WaitDrained() {
   MutexLock lock(&drain_mu_);
-  while (*pending != 0) drain_cv_.Wait(&drain_mu_);
+  while (pending_flushes_ != 0) drain_cv_.Wait(&drain_mu_);
 }
 
 size_t DbShard::MemTableBytes() const {

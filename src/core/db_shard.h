@@ -6,8 +6,8 @@
 //     the compaction thread;
 //   * a mutable *remote MemTable* — pairs owned by other ranks, staged in
 //     relaxed consistency mode, each entry tagged with its owner rank;
-//   * *immutable remote MemTables* — sealed tables queued for migration by
-//     the message dispatcher;
+//   * *immutable remote MemTables* — sealed tables queued for migration on
+//     the pipeline's ops lane, which plays the paper's message dispatcher;
 //   * a *local cache* — LRU over pairs fetched from this rank's SSTables;
 //   * a *remote cache* — LRU over pairs fetched from other ranks, active
 //     only while the database is read-only (§3.2);
@@ -19,7 +19,8 @@
 // Threading contract: one application thread per rank drives Put/Get/
 // Delete/Fence/Barrier (MPI style).  The runtime's handler thread calls
 // ApplyBatch/HandleRemoteGet concurrently; the compaction thread calls
-// FlushImmutable; the dispatcher calls CollectOwnerChunks/MigrationFinished.
+// FlushImmutable; the pipeline's ops lane calls CollectOwnerChunks/
+// MigrationFinished.
 // Internal state is guarded accordingly.
 #pragma once
 
@@ -94,8 +95,8 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // Migrates the remote MemTable and queued immutable remote MemTables to
   // their owners immediately; returns when every record has been applied
   // at its owner (acked).  Also a completion fence for async puts: returns
-  // the first failure among the completed put/delete events it retires
-  // and the fire-and-forget puts since the last fence.
+  // the first failure among the completed put/delete events it retires,
+  // the fire-and-forget puts and the migrated records since the last fence.
   Status Fence();
   // Collective fence; level PAPYRUSKV_SSTABLE additionally flushes all
   // MemTables to SSTables on every rank.
@@ -125,12 +126,13 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // and merges being serialized there.
   Status FlushImmutable(const store::MemTablePtr& mem);
 
-  // ---- Dispatcher entry points ----
+  // ---- Dispatcher entry points (the pipeline's ops lane) ----
   // Sorts a sealed remote MemTable's records per owner rank (§2.4: "it
   // sorts the key-value pairs in the MemTable by the owner rank number ...
   // accumulates the key-value pairs per rank").
   std::map<int, std::vector<KvRecord>> CollectOwnerChunks(
       const store::MemTable& mem) const;
+  // Drops a sent (or crashed-rank) table from the remote search path.
   void MigrationFinished(const store::MemTablePtr& mem);
 
   // Owner rank of a key: hash % nranks.
@@ -179,6 +181,7 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // thread.  Caller holds local_rotate_mu_ and local_mu_; the table lock
   // is released inside, before the possibly-blocking queue push.
   void RotateLocalLocked() REQUIRES(local_rotate_mu_) RELEASE(local_mu_);
+  // Same contract; the submission to the pipeline may block.
   void RotateRemoteLocked() REQUIRES(remote_rotate_mu_) RELEASE(remote_mu_);
 
   // Memory-resident part of the local search: mutable MemTable, queued
@@ -214,9 +217,8 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // fills, §2.7 shared read + fallback re-query through the pipeline).
   Status FinishRemoteGet(const Slice& key, GetResp resp, std::string* value);
 
-  // Blocks until the drain counter *pending (pending_flushes_ or
-  // pending_migrations_) reaches zero.
-  void WaitDrained(const int* pending);
+  // Blocks until every sealed local MemTable is flushed.
+  void WaitDrained();
 
   // ---- Failover routing (DESIGN.md §12) ----
   // Resolves the rank that currently serves `owner`'s hash slot: `owner`
@@ -252,6 +254,8 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   // first (search order §2.6).  The *_rotate_mu_ mutexes serialize
   // seal+enqueue so queue order always matches seal order.  Canonical
   // order: rotate mutex -> table mutex -> drain mutex; never the reverse.
+  // remote_rotate_mu_ is held across SubmitMigration, which takes the
+  // pipeline's async_pipe_mu.
   Mutex local_rotate_mu_{"db_local_rotate_mu"};
   mutable Mutex local_mu_{"db_local_mu"};
   store::MemTablePtr local_ GUARDED_BY(local_mu_);
@@ -294,12 +298,11 @@ class DbShard : public std::enable_shared_from_this<DbShard> {
   std::atomic<bool> promoted_any_{false};
   std::atomic<uint64_t> replica_rr_{0};  // read-from-replica round robin
 
-  // Outstanding background work counters.  drain_mu_ is last in the
+  // Sealed local MemTables not yet flushed.  drain_mu_ is last in the
   // canonical order: it is taken while no other shard lock is held.
   Mutex drain_mu_{"db_drain_mu"};
   CondVar drain_cv_;
   int pending_flushes_ GUARDED_BY(drain_mu_) = 0;
-  int pending_migrations_ GUARDED_BY(drain_mu_) = 0;
 
   // Cached registry metrics, resolved once in the constructor so hot-path
   // updates are lock-free relaxed atomics (obs/metrics.h).  The db-scoped

@@ -172,7 +172,7 @@ typedef struct papyruskv_option_struct {
 // MemTables) to the owner ranks immediately; returns once applied there.
 // Also a completion fence for the async API: drains this rank's submission
 // pipeline and retires every completed put/delete event (see §b' above),
-// returning the first failed op's status.
+// returning the first failed op's status: a migrated record's included.
 [[nodiscard]] int papyruskv_fence(papyruskv_db_t db);
 
 // Collective fence.  level PAPYRUSKV_MEMTABLE: all ranks see the same
@@ -253,7 +253,7 @@ typedef struct papyruskv_health_struct {
   int suspect_peers;      /* peers that exhausted their retry budgets   */
   long long pipeline_queue_depth;   /* async submission backlog         */
   long long flush_queue_depth;      /* MemTables awaiting compaction    */
-  long long migration_queue_depth;  /* MemTables awaiting dispatch      */
+  long long migration_queue_depth;  /* sealed, not yet migrating (<= 8) */
   long long repl_lag_ops;           /* primary-to-follower append lag   */
   unsigned long long uptime_us;
   double put_rate;        /* puts/s over uptime_us                      */

@@ -153,9 +153,7 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository,
       obs_(std::move(obs)) {
   // Resolve the runtime's hot-path metrics once; updates are then lock-free.
   g_flush_q_ = &metrics_.GetGauge("net.flush_queue_depth");
-  g_mig_q_ = &metrics_.GetGauge("net.migration_queue_depth");
   h_handler_us_ = &metrics_.GetHistogram("net.handler_service_us");
-  h_migration_us_ = &metrics_.GetHistogram("store.migration_us");
   for (int op = 0; op <= kOpMax; ++op) {
     const std::string base = std::string("net.req.") + OpName(op);
     c_req_msgs_[op] = &metrics_.GetCounter(base + ".msgs");
@@ -167,6 +165,7 @@ KvRuntime::KvRuntime(net::RankContext& ctx, const std::string& repository,
   c_req_timeouts_ = &metrics_.GetCounter("net.req.timeouts");
   c_suspects_ = &metrics_.GetCounter("net.peer.suspects");
   g_async_depth_ = &metrics_.GetGauge("async.queue_depth");
+  g_mig_q_ = &metrics_.GetGauge("net.migration_queue_depth");
   g_repl_lag_ = &metrics_.GetGauge("repl.lag_ops");
   h_kv_put_us_ = &metrics_.GetHistogram("kv.put_us");
   h_kv_get_us_ = &metrics_.GetHistogram("kv.get_us");
@@ -190,13 +189,12 @@ KvRuntime::~KvRuntime() {
 
 void KvRuntime::StartThreads() {
   compaction_thread_ = std::thread([this] { CompactionLoop(); });
-  dispatcher_thread_ = std::thread([this] { DispatcherLoop(); });
   handler_thread_ = std::thread([this] { HandlerLoop(); });
   pipeline_.Start();
 }
 
 void KvRuntime::StopThreads() {
-  // Auxiliary (restart) tasks may still need the dispatcher/handler/
+  // Auxiliary (restart) tasks may still need the pipeline/handler/
   // compaction threads; join them before tearing those down.
   std::vector<std::thread> aux;
   {
@@ -205,20 +203,16 @@ void KvRuntime::StopThreads() {
   }
   for (auto& t : aux) t.join();
 
-  // The pipeline stops first: it drains any straggling submissions while
-  // every peer's handler is still up (Finalize barriers before this).
+  // The pipeline stops first: it drains straggling work while every peer's
+  // handler is still up (Finalize barriers before this).
   pipeline_.Stop();
 
   CompactionJob stop_flush;
   stop_flush.shutdown = true;
   flush_queue_.Push(std::move(stop_flush));
-  MigrationJob stop_mig;
-  stop_mig.shutdown = true;
-  migration_queue_.Push(std::move(stop_mig));
   // The handler exits on a self-addressed shutdown request.
   req_comm_.Send(ctx_.rank, kOpShutdown, Slice());  // analyze:allow-direct-send
   compaction_thread_.join();
-  dispatcher_thread_.join();
   handler_thread_.join();
 }
 
@@ -346,33 +340,6 @@ void KvRuntime::CompactionLoop() {
         PLOG_ERROR << "flush failed: " << s.ToString();
       }
     }
-  }
-}
-
-void KvRuntime::DispatcherLoop() {
-  AdoptObservability("dispatcher");
-  for (;;) {
-    MigrationJob job = migration_queue_.Pop();
-    if (job.shutdown) return;
-    g_mig_q_->Add(-1);
-    if (!job.db || !job.mem) continue;
-
-    obs::ScopedLatency lat(h_migration_us_);
-    // Root span for the whole migration; each chunk's frame gets its own
-    // detached put_batch.rpc child (chunks overlap and ack out of order, so
-    // they must not stack on the thread's context).
-    obs::OpSpan span("net", "migration");
-    // §2.4 migration: sort by owner, accumulate per rank, send one chunk
-    // per owner, then wait for the acks confirming application.
-    auto chunks = job.db->CollectOwnerChunks(*job.mem);
-    if (crashed()) {
-      // A crashed rank emits no traffic; drop the payload but keep the
-      // drain bookkeeping so a fence on this rank cannot hang.
-      job.db->MigrationFinished(job.mem);
-      continue;
-    }
-    pipeline_.Migrate(job.db->id(), chunks);
-    job.db->MigrationFinished(job.mem);
   }
 }
 

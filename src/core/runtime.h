@@ -6,18 +6,21 @@
 //     MemTables → SSTables), runs merge compaction, and executes
 //     checkpoint/restart file transfers (§4.2: "the compaction thread in
 //     each rank starts to transfer the SSTables");
-//   * the *message dispatcher* — drains the migration queue, sorting and
-//     batching records per owner and sending them over the interconnect;
 //   * the *message handler* — receives requests from other ranks and
 //     applies/serves them;
-//   * the flushing and migration queues themselves — fixed size, FIFO;
-//     producers block while full (back-pressure, §2.4);
+//   * the flushing queue itself — fixed size, FIFO; producers block while
+//     full (back-pressure, §2.4);
+//   * the async pipeline (src/async/), whose ops lane is also the paper's
+//     *message dispatcher*: it takes sealed remote MemTables one at a time,
+//     sorts them per owner and sends each owner its chunk;
 //   * communicators dup'ed from the application's (§2.4: "the runtime
 //     creates new independent MPI communicators"), so runtime traffic can
 //     never interfere with application messages;
 //   * the database registry, the event table (papyruskv_event_t), the
 //     signal endpoint, and the value memory pool backing papyruskv_get
 //     allocations.
+// Each rank runs five threads: the application's, compaction, handler and
+// the pipeline's two lanes.
 #pragma once
 
 #include <atomic>
@@ -48,10 +51,10 @@
 
 namespace papyrus::core {
 
-// Slots in each of the flushing and migration queues.
+// Slots in the flushing queue and in the ops lane's migration queue.
 inline constexpr size_t kDefaultQueueDepth = 8;
 
-// The flushing and migration queues (paper §2.4): a fixed-size FIFO.  Push
+// The flushing queue (paper §2.4): a fixed-size FIFO.  Push
 // blocks while the queue is full — the paper's back-pressure, "the MPI rank
 // is blocked on the put operation until the queue is available" — and Pop
 // blocks while it is empty.  The paper's queue is lock-free; here each job
@@ -88,14 +91,6 @@ struct CompactionJob {
   DbShardPtr db;
   store::MemTablePtr mem;
   std::function<void()> task;
-  bool shutdown = false;
-};
-
-// Work item for the message dispatcher: an immutable remote MemTable to
-// migrate.
-struct MigrationJob {
-  DbShardPtr db;
-  store::MemTablePtr mem;
   bool shutdown = false;
 };
 
@@ -190,16 +185,12 @@ class KvRuntime {
   Status Close(int db);
   DbShardPtr Find(int db);
 
-  // ---- Queues (called from DbShard; block while full) ----
-  // The depth gauges count queued items; consumers decrement after Pop, so
-  // the gauge reflects back-pressure the producers feel.
+  // ---- Flushing queue (called from DbShard; blocks while full) ----
+  // The depth gauge counts queued items; the consumer decrements after Pop,
+  // so the gauge reflects back-pressure the producers feel.
   void EnqueueFlush(CompactionJob job) {
     g_flush_q_->Add(1);
     flush_queue_.Push(std::move(job));
-  }
-  void EnqueueMigration(MigrationJob job) {
-    g_mig_q_->Add(1);
-    migration_queue_.Push(std::move(job));
   }
   // Runs `task` on the compaction thread after currently queued jobs
   // (checkpoint transfers: never enqueue flush work from inside).
@@ -306,7 +297,6 @@ class KvRuntime {
   void StopThreads();
 
   void CompactionLoop();
-  void DispatcherLoop();
   void HandlerLoop();
 
   void HandlePutBatch(const net::Message& m);
@@ -339,10 +329,8 @@ class KvRuntime {
   net::Communicator signal_comm_;   // papyruskv_signal_*
 
   BoundedQueue<CompactionJob> flush_queue_;
-  BoundedQueue<MigrationJob> migration_queue_;
 
   std::thread compaction_thread_;
-  std::thread dispatcher_thread_;
   std::thread handler_thread_;
   // Leaf locks: each guards exactly the fields named below and is never
   // held while acquiring another lock.
@@ -379,9 +367,7 @@ class KvRuntime {
   obs::TraceBuffer trace_;
   obs::FlightRecorder flight_;
   obs::Gauge* g_flush_q_;            // net.flush_queue_depth
-  obs::Gauge* g_mig_q_;              // net.migration_queue_depth
   obs::Histogram* h_handler_us_;     // net.handler_service_us
-  obs::Histogram* h_migration_us_;   // store.migration_us
   // Request traffic split by opcode (1..kOpMax) plus a slot 0 catch-all;
   // responses are a single bucket.
   obs::Counter* c_req_msgs_[kOpMax + 1];
@@ -393,6 +379,7 @@ class KvRuntime {
   obs::Counter* c_suspects_;         // net.peer.suspects
   // Resolved for Health(): the gauges/histograms other layers own.
   obs::Gauge* g_async_depth_;        // async.queue_depth
+  obs::Gauge* g_mig_q_;              // net.migration_queue_depth
   obs::Gauge* g_repl_lag_;           // repl.lag_ops
   obs::Histogram* h_kv_put_us_;      // kv.put_us
   obs::Histogram* h_kv_get_us_;      // kv.get_us

@@ -9,7 +9,7 @@
 //       ack is what lets fence/barrier know data has *landed*, not merely
 //       been sent).  Carries both sequential-mode puts (coalesced by the
 //       async pipeline) and relaxed-mode migration (one frame per owner
-//       chunk of a sealed remote MemTable, sent by the dispatcher).
+//       chunk of a sealed remote MemTable, sent by the ops lane).
 //   kOpGetMulti / GetMultiResp — N remote gets for one owner.  The request
 //       carries the caller's storage-group id; when it matches the owner's,
 //       the owner searches only its in-memory structures and returns

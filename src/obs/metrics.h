@@ -9,7 +9,7 @@
 //      standard trade for lock-free telemetry.
 //   2. Ranks are threads in this emulation, so metrics cannot live in
 //      process globals: each rank's KvRuntime owns a Registry, published to
-//      that rank's threads (app, compaction, dispatcher, handler) through a
+//      that rank's threads (app, compaction, handler, pipeline) through a
 //      thread-local pointer.  Code below core/ (store, sim, net) reports to
 //      Current(), which falls back to a process-wide registry outside any
 //      rank (unit tests, tools).

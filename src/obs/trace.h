@@ -86,7 +86,7 @@ class TraceBuffer {
   }
 
   // Names the calling thread's lane in the exported trace ("app",
-  // "dispatcher", "handler", ...).  Idempotent; cheap enough to call from
+  // "handler", "async", ...).  Idempotent; cheap enough to call from
   // every thread adoption.
   void SetThreadName(const char* name);
 
@@ -191,7 +191,7 @@ class OpSpan {
   // kScoped installs the span as the thread's current context for its
   // lifetime (strictly nested spans).  kDetached records a child of the
   // current context without becoming current — for overlapping siblings
-  // (e.g. the dispatcher's in-flight chunks) that end out of order.
+  // (e.g. a pipeline cycle's in-flight frames) that end out of order.
   enum Mode { kScoped, kDetached };
 
   OpSpan(const char* cat, const char* name, Mode mode = kScoped);

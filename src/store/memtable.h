@@ -6,7 +6,7 @@
 // and — in *remote* MemTables only — the owner rank number, so migration
 // can sort and batch entries per owner.  When a MemTable reaches its
 // capacity limit it is sealed (becomes immutable) and handed to the
-// compaction thread (local) or message dispatcher (remote).
+// compaction thread (local) or the async pipeline's ops lane (remote).
 //
 // The tree is std::map, the standard library's red-black tree.  Its
 // transparent comparator lets Get/Put search with the caller's bytes

@@ -18,7 +18,10 @@
 namespace papyrus::testutil {
 namespace {
 
-class AsyncApiTest : public FaultTest {};
+class AsyncApiTest : public FaultTest {
+ protected:
+  void FenceReportsFailures(int consistency);
+};
 
 // Keys owned by `owner` under the db's hash.
 std::vector<std::string> KeysOwnedBy(const core::DbShardPtr& shard, int owner,
@@ -129,14 +132,16 @@ TEST_F(AsyncApiTest, FenceIsACompletionFenceForFireAndForgetPuts) {
   });
 }
 
-TEST_F(AsyncApiTest, FenceReportsFireAndForgetFailures) {
-  // A NULL-event put has no handle to carry its status, so the fence must:
-  // the owner fails the first op it applies, and the sender's next fence
-  // reports that failure exactly once.
+// A NULL-event put has no handle to carry its status, so the fence must:
+// the owner fails the first op it applies, and the sender's next fence
+// reports that failure exactly once.  In sequential mode the put rides a
+// pipeline frame; in relaxed mode it is staged and the fence's migration
+// chunk carries it.
+void AsyncApiTest::FenceReportsFailures(int consistency) {
   RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
     papyruskv_option_t opt;
     ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
-    opt.consistency = PAPYRUSKV_SEQUENTIAL;
+    opt.consistency = consistency;
     papyruskv_db_t db;
     ASSERT_EQ(papyruskv_open("ffaildb", PAPYRUSKV_CREATE, &opt, &db),
               PAPYRUSKV_SUCCESS);
@@ -156,6 +161,14 @@ TEST_F(AsyncApiTest, FenceReportsFireAndForgetFailures) {
     ctx.comm.Barrier();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
+}
+
+TEST_F(AsyncApiTest, FenceReportsFireAndForgetFailures) {
+  FenceReportsFailures(PAPYRUSKV_SEQUENTIAL);
+}
+
+TEST_F(AsyncApiTest, RelaxedFenceReportsMigratedRecordFailures) {
+  FenceReportsFailures(PAPYRUSKV_RELAXED);
 }
 
 TEST_F(AsyncApiTest, RetryCannotReorderSameDestinationFrames) {

@@ -1,5 +1,6 @@
-// The flushing/migration queue (paper §2.4): fixed-size FIFO whose
-// producers block while it is full.
+// The flushing queue (paper §2.4): fixed-size FIFO whose producers block
+// while it is full.  Migrations have no queue of their own: the async
+// pipeline's ops lane holds them, with the same bound.
 #include <gtest/gtest.h>
 
 #include <atomic>

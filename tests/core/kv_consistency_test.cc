@@ -2,13 +2,20 @@
 // levels, signals, protection attributes and their cache effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "core/db_shard.h"
 #include "kv_test_util.h"
+#include "../fault/fault_test_util.h"
 
 namespace papyrus::testutil {
 namespace {
 
 using Kv = KvTest;
+using KvMigration = FaultTest;
 
 // Finds a key owned by `owner` under the built-in hash for `nranks`.
 std::string KeyOwnedBy(int owner, int nranks, const std::string& prefix) {
@@ -253,6 +260,79 @@ TEST_F(Kv, DeleteOfRemoteKeyPropagates) {
     std::string out;
     EXPECT_EQ(GetStr(db, key, &out), PAPYRUSKV_NOT_FOUND) << "rank "
                                                           << ctx.rank;
+    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+  });
+}
+
+TEST_F(KvMigration, QueueStaysBoundedAndOwnersApplyInSealOrder) {
+  // §2.4 with the pipeline's ops lane as the message dispatcher: 2 KB
+  // remote MemTables seal every few puts and the owner's acks are slowed,
+  // so sealed tables pile up.  The lane must still hold at most
+  // kDefaultQueueDepth unsent migrations and send them oldest first, so a
+  // key written into two successive sealed tables ends at the newer value.
+  setenv("PAPYRUSKV_FAULT_DELAY_US", "5000", 1);
+  RunKv(2, tmp_.path(), [&](net::RankContext& ctx) {
+    papyruskv_option_t opt;
+    ASSERT_EQ(papyruskv_option_init(&opt), PAPYRUSKV_SUCCESS);
+    opt.consistency = PAPYRUSKV_RELAXED;
+    opt.memtable_size = 2048;
+    papyruskv_db_t db;
+    ASSERT_EQ(papyruskv_open("migq", PAPYRUSKV_CREATE, &opt, &db),
+              PAPYRUSKV_SUCCESS);
+    std::vector<std::string> keys;
+    for (int i = 0; keys.size() < 16; ++i) {
+      std::string k = KeyOwnedBy(1, 2, "mq" + std::to_string(i) + ".");
+      if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
+        keys.push_back(std::move(k));
+      }
+    }
+    const std::string twice = KeyOwnedBy(1, 2, "twice");
+    const std::string filler(2048, 'f');  // seals the table it lands in
+    constexpr int kRounds = 20;
+    // 16 such values fill a table: about one seal per round.
+    auto value = [](int round) {
+      return "v" + std::to_string(round) + std::string(120, '.');
+    };
+    ctx.comm.Barrier();
+    if (ctx.rank == 0) Arm("net.msg.delay=rank1:1.0");
+    ctx.comm.Barrier();
+
+    if (ctx.rank == 0) {
+      long long max_depth = 0;
+      auto put = [&](const std::string& k, const std::string& v) {
+        ASSERT_EQ(PutStr(db, k, v), PAPYRUSKV_SUCCESS);
+        papyruskv_health_t h;
+        ASSERT_EQ(papyruskv_health(&h), PAPYRUSKV_SUCCESS);
+        ASSERT_LE(h.migration_queue_depth,
+                  static_cast<long long>(core::kDefaultQueueDepth));
+        max_depth = std::max(max_depth, h.migration_queue_depth);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& k : keys) put(k, value(round));
+        if (round == 5) {
+          put(twice, "old");
+          put(KeyOwnedBy(1, 2, "fill_old"), filler);
+        } else if (round == 6) {
+          put(twice, "new");
+          put(KeyOwnedBy(1, 2, "fill_new"), filler);
+        }
+      }
+      ASSERT_EQ(papyruskv_fence(db), PAPYRUSKV_SUCCESS);
+      // The ~22 tables outpace the slowed owner: the bound is reached.
+      EXPECT_EQ(max_depth, static_cast<long long>(core::kDefaultQueueDepth));
+    }
+    ctx.comm.Barrier();
+    if (ctx.rank == 1) {
+      std::string out;
+      ASSERT_EQ(GetStr(db, twice, &out), PAPYRUSKV_SUCCESS);
+      EXPECT_EQ(out, "new") << "an older sealed table overtook a newer one";
+      for (const auto& k : keys) {
+        ASSERT_EQ(GetStr(db, k, &out), PAPYRUSKV_SUCCESS) << k;
+        EXPECT_EQ(out, value(kRounds - 1)) << k;
+      }
+    }
+    ctx.comm.Barrier();
+    fault::Registry::Instance().DisableAll();
     ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
   });
 }

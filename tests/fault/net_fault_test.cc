@@ -78,8 +78,8 @@ std::vector<std::string> KeysOwnedBy(const core::DbShardPtr& shard, int owner,
 // single op exhausts its retries is ~1e-6 per the armed seed — and the
 // fixed seed makes the run reproducible regardless.)  Sequential mode
 // drives put_batch/get_multi frames through the pipeline; relaxed mode
-// drives migration chunks through the dispatcher, one fence per put so
-// every chunk is its own round trip.
+// drives migration chunks through its ops lane, one fence per put so every
+// chunk is its own round trip.
 void NetFaultTest::RunDroppedMessages(int consistency) {
   setenv("PAPYRUSKV_TIMEOUT_MS", "100", 1);
   setenv("PAPYRUSKV_RETRY_MAX", "8", 1);

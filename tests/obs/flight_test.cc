@@ -220,7 +220,11 @@ TEST_F(FlightE2eTest, SimulatedCrashDumpsBeforeTheRankGoesDark) {
       EXPECT_TRUE(HasEvent(v, "failpoint", "rank.crash"));
     }
     ctx.comm.Barrier();
-    ASSERT_EQ(papyruskv_close(db), PAPYRUSKV_SUCCESS);
+    // Rank 0's staged pairs owned by the crashed rank 1 never reach it, so
+    // the close's fence reports the migration's timeout; the crashed rank's
+    // own close reports OK (crash semantics).
+    ASSERT_EQ(papyruskv_close(db),
+              ctx.rank == 0 ? PAPYRUSKV_ERR_TIMEOUT : PAPYRUSKV_SUCCESS);
   });
 }
 

@@ -612,7 +612,7 @@ def render_markdown(spec):
     w("## Flow")
     w("")
     w("```")
-    w("app/dispatcher/pipeline          owner rank")
+    w("app/pipeline                     owner rank")
     w("        |  req_comm tag=kOp*        |")
     w("        |-------------------------->| HandlerLoop switch(tag)")
     w("        |                           |   -> Handle* -> Decode*")
